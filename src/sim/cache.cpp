@@ -5,29 +5,27 @@
 namespace crono::sim {
 
 Cache::Cache(const CacheConfig& cfg, std::uint32_t line_bytes)
-    : numSets_(cfg.numSets(line_bytes))
+    : numSets_(cfg.numSets(line_bytes)), numWays_(cfg.associativity)
 {
     CRONO_REQUIRE(numSets_ >= 1, "cache must have >= 1 set");
     CRONO_REQUIRE((numSets_ & (numSets_ - 1)) == 0,
                   "number of sets must be a power of two");
-    sets_.resize(numSets_);
-    for (auto& s : sets_) {
-        s.resize(cfg.associativity);
-    }
+    ways_.resize(std::size_t{numSets_} * numWays_);
 }
 
-std::vector<Cache::Way>&
+Cache::Way*
 Cache::setOf(LineAddr line)
 {
-    return sets_[line & (numSets_ - 1)];
+    return &ways_[(line & (numSets_ - 1)) * numWays_];
 }
 
 Cache::Way*
 Cache::find(LineAddr line)
 {
-    for (Way& w : setOf(line)) {
-        if (w.state != LineState::invalid && w.line == line) {
-            return &w;
+    Way* const set = setOf(line);
+    for (std::uint32_t i = 0; i < numWays_; ++i) {
+        if (set[i].state != LineState::invalid && set[i].line == line) {
+            return &set[i];
         }
     }
     return nullptr;
@@ -62,10 +60,12 @@ Cache::insert(LineAddr line, LineState state)
 {
     CRONO_ASSERT(state != LineState::invalid, "cannot insert invalid line");
     CRONO_ASSERT(find(line) == nullptr, "double insert of cached line");
-    auto& set = setOf(line);
+    Way* const set = setOf(line);
 
+    // Victim: the first invalid way, else the LRU way (first on ties).
     Way* target = nullptr;
-    for (Way& w : set) {
+    for (std::uint32_t i = 0; i < numWays_; ++i) {
+        Way& w = set[i];
         if (w.state == LineState::invalid) {
             target = &w;
             break;
@@ -111,11 +111,9 @@ std::size_t
 Cache::occupancy() const
 {
     std::size_t n = 0;
-    for (const auto& set : sets_) {
-        for (const Way& w : set) {
-            if (w.state != LineState::invalid) {
-                ++n;
-            }
+    for (const Way& w : ways_) {
+        if (w.state != LineState::invalid) {
+            ++n;
         }
     }
     return n;

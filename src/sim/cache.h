@@ -82,11 +82,13 @@ class Cache {
 
     Way* find(LineAddr line);
     const Way* find(LineAddr line) const;
-    std::vector<Way>& setOf(LineAddr line);
+    /** First way of @p line's set; the set's ways follow it. */
+    Way* setOf(LineAddr line);
 
-    std::vector<std::vector<Way>> sets_;
+    std::vector<Way> ways_; // [set][way], numSets_ x numWays_
     std::uint64_t useClock_ = 0;
     std::uint32_t numSets_;
+    std::uint32_t numWays_;
 };
 
 } // namespace crono::sim

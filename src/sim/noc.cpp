@@ -1,6 +1,5 @@
 #include "sim/noc.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/macros.h"
@@ -9,44 +8,27 @@ namespace crono::sim {
 
 Mesh::Mesh(const Config& cfg)
     : routing_(cfg.routing), width_(cfg.meshWidth()),
-      numCores_(cfg.num_cores), hopCycles_(cfg.hop_cycles),
-      flitBits_(cfg.flit_bits)
+      numNodes_(width_ * width_), numCores_(cfg.num_cores),
+      hopCycles_(cfg.hop_cycles), flitBits_(cfg.flit_bits)
 {
-    // 4 outgoing directions per node (E/W/S/N), flattened; each link
-    // carries a ring of time-windowed flit counters for contention.
-    const std::size_t links =
-        static_cast<std::size_t>(width_) * width_ * 4;
-    windows_.assign(links * kWindowRing, Window{});
+    // 4 outgoing links per node (E/W/S/N); each link carries a ring of
+    // time-windowed flit counters for contention.
+    windows_.assign(kWindowRing * kNumDirs * numNodes_, Window{});
+    coords_.reserve(numNodes_);
+    for (int node = 0; node < numNodes_; ++node) {
+        coords_.push_back({node % width_, node / width_});
+    }
 }
 
 int
 Mesh::hops(int src, int dst) const
 {
-    const int sx = src % width_, sy = src / width_;
-    const int dx = dst % width_, dy = dst / width_;
-    return std::abs(sx - dx) + std::abs(sy - dy);
-}
-
-std::size_t
-Mesh::linkIndex(int node, int next) const
-{
-    const int diff = next - node;
-    int dir;
-    if (diff == 1) {
-        dir = 0; // east
-    } else if (diff == -1) {
-        dir = 1; // west
-    } else if (diff == width_) {
-        dir = 2; // south
-    } else {
-        CRONO_ASSERT(diff == -width_, "non-adjacent mesh hop");
-        dir = 3; // north
-    }
-    return static_cast<std::size_t>(node) * 4 + dir;
+    const Coord s = coords_[src], d = coords_[dst];
+    return std::abs(s.x - d.x) + std::abs(s.y - d.y);
 }
 
 std::uint64_t
-Mesh::linkDelay(std::size_t link, std::uint64_t t, std::uint32_t flits)
+Mesh::occupy(Window& w, std::uint64_t epoch, std::uint32_t flits)
 {
     // Windowed contention: each link serializes one flit per cycle, so
     // a W-cycle window carries at most W flits. A crossing records its
@@ -55,8 +37,6 @@ Mesh::linkDelay(std::size_t link, std::uint64_t t, std::uint32_t flits)
     // causally stable under the scheduler's bounded timestamp skew
     // (unlike a next-free-time reservation, which lets a future-dated
     // message starve earlier-dated ones).
-    const std::uint64_t epoch = t / kWindowCycles;
-    Window& w = windows_[link * kWindowRing + (epoch % kWindowRing)];
     if (w.epoch != epoch) {
         w.epoch = epoch;
         w.flits = 0;
@@ -68,6 +48,31 @@ Mesh::linkDelay(std::size_t link, std::uint64_t t, std::uint32_t flits)
     }
     // Overflow: this message queues behind the window's excess.
     return occupied + flits - kWindowCycles;
+}
+
+std::uint64_t
+Mesh::walk(Dir dir, int node, int stride, int hops, std::uint32_t flits,
+           std::uint64_t t)
+{
+    // t only grows, so the window plane of the current epoch is looked
+    // up again only when t crosses the epoch's end.
+    std::uint64_t epoch = 0, epoch_end = 0;
+    Window* plane = nullptr;
+    std::uint64_t contention = 0;
+    for (int h = 0; h < hops; ++h, node += stride) {
+        if (t >= epoch_end) {
+            epoch = t / kWindowCycles;
+            epoch_end = (epoch + 1) * kWindowCycles;
+            plane = &windows_[((epoch % kWindowRing) * kNumDirs + dir) *
+                              numNodes_];
+        }
+        const std::uint64_t queue = occupy(plane[node], epoch, flits);
+        contention += queue;
+        t += queue + hopCycles_;
+    }
+    stats_.contention_cycles += contention;
+    stats_.flit_hops += std::uint64_t{flits} * hops;
+    return t;
 }
 
 std::uint64_t
@@ -92,25 +97,21 @@ Mesh::send(int src, int dst, std::uint32_t payload_bits,
     if (routing_ == Routing::o1turn) {
         x_first = (messageParity_++ % 2) == 0;
     }
+    const Coord s = coords_[src], d = coords_[dst];
+    const Dir x_dir = d.x > s.x ? kEast : kWest;
+    const Dir y_dir = d.y > s.y ? kSouth : kNorth;
+    const int x_stride = d.x > s.x ? 1 : -1;
+    const int y_stride = d.y > s.y ? width_ : -width_;
+    const int x_hops = std::abs(d.x - s.x), y_hops = std::abs(d.y - s.y);
+    // Each dimension is one straight run; the second starts at the
+    // corner node where the route turns.
     std::uint64_t t = depart_time;
-    int node = src;
-    const int dx = dst % width_, dy = dst / width_;
-    while (node != dst) {
-        int next;
-        const int nx = node % width_, ny = node / width_;
-        const bool move_x =
-            nx != dx && (x_first || ny == dy);
-        if (move_x) {
-            next = node + (dx > nx ? 1 : -1);
-        } else {
-            next = node + (dy > ny ? width_ : -width_);
-        }
-        const std::size_t link = linkIndex(node, next);
-        const std::uint64_t queue = linkDelay(link, t, flits);
-        stats_.contention_cycles += queue;
-        t += queue + hopCycles_;
-        stats_.flit_hops += flits;
-        node = next;
+    if (x_first) {
+        t = walk(x_dir, src, x_stride, x_hops, flits, t);
+        t = walk(y_dir, s.y * width_ + d.x, y_stride, y_hops, flits, t);
+    } else {
+        t = walk(y_dir, src, y_stride, y_hops, flits, t);
+        t = walk(x_dir, d.y * width_ + s.x, x_stride, x_hops, flits, t);
     }
     // Tail flits arrive behind the head.
     return t + (flits - 1);

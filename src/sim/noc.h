@@ -45,12 +45,8 @@ class Mesh {
     static constexpr std::size_t kWindowRing = 32;
 
   private:
-    /** Directed link leaving @p node toward @p next. */
-    std::size_t linkIndex(int node, int next) const;
-
-    /** Queueing delay for @p flits crossing @p link at time @p t. */
-    std::uint64_t linkDelay(std::size_t link, std::uint64_t t,
-                            std::uint32_t flits);
+    /** Link directions; a window plane holds one direction's links. */
+    enum Dir : int { kEast = 0, kWest, kSouth, kNorth, kNumDirs };
 
     /** One time-window of flit occupancy on a link. */
     struct Window {
@@ -58,11 +54,38 @@ class Mesh {
         std::uint64_t flits = 0;
     };
 
-    std::vector<Window> windows_; // [link][epoch % kWindowRing]
+    /** Mesh position of a node. */
+    struct Coord {
+        int x;
+        int y;
+    };
+
+    /**
+     * Record @p flits crossing the link of @p w in @p epoch.
+     * @return the queueing delay they see.
+     */
+    static std::uint64_t occupy(Window& w, std::uint64_t epoch,
+                                std::uint32_t flits);
+
+    /**
+     * Cross @p hops links in direction @p dir, starting at @p node and
+     * moving @p stride node ids per hop; @return the time after the
+     * last hop.
+     */
+    std::uint64_t walk(Dir dir, int node, int stride, int hops,
+                       std::uint32_t flits, std::uint64_t t);
+
+    /**
+     * [epoch % kWindowRing][dir][node]: time-major, so consecutive
+     * hops along a row touch adjacent windows.
+     */
+    std::vector<Window> windows_;
+    std::vector<Coord> coords_; // [node]
     NetworkStats stats_;
     Routing routing_;
     std::uint64_t messageParity_ = 0; // O1TURN alternation
     int width_;
+    int numNodes_; // width_ * width_, phantom nodes included
     int numCores_;
     std::uint32_t hopCycles_;
     std::uint32_t flitBits_;
