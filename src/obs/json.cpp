@@ -433,7 +433,7 @@ struct Parser {
 bool
 parse(std::string_view text, Value& out, std::string* err)
 {
-    Parser p{text};
+    Parser p{text, 0, {}};
     out = Value{};
     if (!p.parseValue(out)) {
         if (err != nullptr) {
