@@ -1,5 +1,7 @@
 #include "sim/cache.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace crono::sim {
@@ -61,6 +63,12 @@ Cache::insert(LineAddr line, LineState state)
     CRONO_ASSERT(state != LineState::invalid, "cannot insert invalid line");
     CRONO_ASSERT(find(line) == nullptr, "double insert of cached line");
     Way* const set = setOf(line);
+    // A set's first insert fills its way 0, whose lru then stays
+    // nonzero until reset().
+    if (set->lru == 0) {
+        touchedSets_.push_back(
+            static_cast<std::uint32_t>(line & (numSets_ - 1)));
+    }
 
     // Victim: the first invalid way, else the LRU way (first on ties).
     Way* target = nullptr;
@@ -117,6 +125,17 @@ Cache::occupancy() const
         }
     }
     return n;
+}
+
+void
+Cache::reset()
+{
+    for (const std::uint32_t set : touchedSets_) {
+        std::fill_n(ways_.begin() + std::size_t{set} * numWays_, numWays_,
+                    Way{});
+    }
+    touchedSets_.clear();
+    useClock_ = 0;
 }
 
 } // namespace crono::sim

@@ -73,6 +73,12 @@ class Cache {
     /** Number of valid lines currently held (O(capacity), for tests). */
     std::size_t occupancy() const;
 
+    /**
+     * Return to the freshly constructed state. Clears only the sets
+     * insert() has touched since construction or the last reset().
+     */
+    void reset();
+
   private:
     struct Way {
         LineAddr line = 0;
@@ -86,6 +92,7 @@ class Cache {
     Way* setOf(LineAddr line);
 
     std::vector<Way> ways_; // [set][way], numSets_ x numWays_
+    std::vector<std::uint32_t> touchedSets_; // for reset()
     std::uint64_t useClock_ = 0;
     std::uint32_t numSets_;
     std::uint32_t numWays_;

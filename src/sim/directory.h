@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/macros.h"
 
@@ -102,17 +101,19 @@ class AckwiseSharers {
         return false;
     }
 
-    /** Precise pointers (valid only when !overflowed()). */
-    std::vector<int>
-    pointers() const
+    /**
+     * Call @p visit(core) for each precise pointer, in slot order
+     * (meaningful only when !overflowed()).
+     */
+    template <typename Visit>
+    void
+    forEachPointer(Visit&& visit) const
     {
-        std::vector<int> out;
         for (int i = 0; i < k_; ++i) {
             if (pointers_[i] >= 0) {
-                out.push_back(pointers_[i]);
+                visit(pointers_[i]);
             }
         }
-        return out;
     }
 
     void

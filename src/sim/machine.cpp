@@ -22,7 +22,12 @@ Machine::run(int nthreads, std::function<void(SimCtx&)> body)
     CRONO_REQUIRE(nthreads >= 1, "run needs >= 1 thread");
 
     // Fresh machine state: cold caches, zeroed clocks and counters.
-    mem_ = std::make_unique<MemorySystem>(cfg_);
+    // The memory system is built once and reset for later runs.
+    if (mem_ == nullptr) {
+        mem_ = std::make_unique<MemorySystem>(cfg_);
+    } else {
+        mem_->reset();
+    }
     threads_.clear();
     threads_.resize(nthreads);
     phys_.assign(cfg_.num_cores, PhysCore{});

@@ -7,7 +7,9 @@
 namespace crono::sim {
 
 MemorySystem::MemorySystem(const Config& cfg)
-    : mesh_(cfg), dram_(cfg), numCores_(cfg.num_cores),
+    : cfg_(cfg), mesh_(cfg), dram_(cfg), numCores_(cfg.num_cores),
+      ackwiseK_(cfg.ackwise_pointers), l1Allocation_(cfg.l1_allocation),
+      localityThreshold_(cfg.locality_threshold),
       lineBytes_(cfg.line_bytes), l2Cycles_(cfg.l2.access_cycles),
       ctlBits_(cfg.control_message_bits), dataBits_(cfg.line_bytes * 8)
 {
@@ -15,9 +17,28 @@ MemorySystem::MemorySystem(const Config& cfg)
     for (int i = 0; i < numCores_; ++i) {
         nodes_.emplace_back(cfg);
     }
-    ackwiseK_ = cfg.ackwise_pointers;
-    l1Allocation_ = cfg.l1_allocation;
-    localityThreshold_ = cfg.locality_threshold;
+    // Line 0 is never mapped; its entries keep the tables line-indexed.
+    lines_.emplace_back(ackwiseK_);
+    l1Lines_.resize(numCores_, static_cast<std::uint8_t>(MissClass::cold));
+}
+
+void
+MemorySystem::reset()
+{
+    for (Node& n : nodes_) {
+        n.l1d.reset();
+        n.l2.reset();
+    }
+    lineMap_.clear();
+    lines_.erase(lines_.begin() + 1, lines_.end());
+    l1Lines_.resize(numCores_);
+    reuse_.clear();
+    mesh_ = Mesh(cfg_);
+    dram_ = Dram(cfg_);
+    l1d_ = {};
+    l2_ = {};
+    dirStats_ = {};
+    l1iAccesses_ = 0;
 }
 
 LineState
@@ -29,17 +50,20 @@ MemorySystem::l1State(int core, LineAddr line) const
 DirState
 MemorySystem::dirState(LineAddr line) const
 {
-    const Node& h = nodes_[homeOf(line)];
-    auto it = h.dir.find(line);
-    return it == h.dir.end() ? DirState::uncached : it->second.state;
+    if (line >= lines_.size() || !lines_[line].inL2) {
+        return DirState::uncached;
+    }
+    return lines_[line].dir.state;
 }
 
 LineAddr
 MemorySystem::translateLine(std::uintptr_t host_line)
 {
-    auto [it, inserted] = lineMap_.try_emplace(host_line, nextLine_);
+    auto [it, inserted] = lineMap_.try_emplace(host_line, lines_.size());
     if (inserted) {
-        ++nextLine_;
+        lines_.emplace_back(ackwiseK_);
+        l1Lines_.resize(l1Lines_.size() + numCores_,
+                        static_cast<std::uint8_t>(MissClass::cold));
     }
     return it->second;
 }
@@ -75,22 +99,24 @@ MemorySystem::accessLine(int core, LineAddr line, bool is_store,
     if (!l1Allocation_) {
         return remoteAccessLine(core, line, is_store, start);
     }
-    if (localityThreshold_ > 0 && me.l1d.peek(line) == LineState::invalid) {
+    std::uint8_t& l1 = l1Bytes(line)[core];
+    if (localityThreshold_ > 0 && l1 != kResident) {
         // Locality-aware adaptation: stay in remote-access mode until
         // the home has seen enough reuse from this core to justify a
         // private copy (low-locality data never thrashes the L1 or
         // generates invalidation storms).
-        std::uint32_t& count =
-            nodes_[homeOf(line)].reuse[line][core];
+        std::uint32_t& count = reuse_[line][core];
         if (++count <= localityThreshold_) {
             return remoteAccessLine(core, line, is_store, start);
         }
         count = 0; // granted: restart the observation window
     }
 
-    const LineState l1_state = me.l1d.lookup(line);
     bool upgrade = false;
-    if (l1_state != LineState::invalid) {
+    if (l1 == kResident) {
+        const LineState l1_state = me.l1d.lookup(line);
+        CRONO_ASSERT(l1_state != LineState::invalid,
+                     "resident L1 line not cached");
         if (!is_store || l1_state == LineState::modified ||
             l1_state == LineState::exclusive) {
             if (is_store && l1_state == LineState::exclusive) {
@@ -103,56 +129,14 @@ MemorySystem::accessLine(int core, LineAddr line, bool is_store,
         ++l1d_.hits;
         upgrade = true;
     } else {
-        auto hist = me.l1History.find(line);
-        const MissClass cls =
-            hist == me.l1History.end() ? MissClass::cold : hist->second;
-        ++l1d_.misses[static_cast<int>(cls)];
+        ++l1d_.misses[l1];
     }
 
     const int home = homeOf(line);
-    Node& h = nodes_[home];
     AccessLatency lat;
-
-    // Request to the home slice.
-    std::uint64_t t = mesh_.send(core, home, ctlBits_, start);
-    lat.l1_to_l2 += t - start;
-
-    // Serialize against an in-flight transaction on the same line.
-    if (auto busy = h.busyUntil.find(line);
-        busy != h.busyUntil.end() && busy->second > t) {
-        lat.waiting += busy->second - t;
-        t = busy->second;
-    }
-
-    // First access to the L2 slice (tag + data + directory).
-    ++dirStats_.lookups;
-    ++l2_.accesses;
-    t += l2Cycles_;
-    lat.l1_to_l2 += l2Cycles_;
-
-    LineState l2_state = h.l2.lookup(line);
-    if (l2_state == LineState::invalid) {
-        // Fetch the line from DRAM through this slice's controller.
-        ++l2_.misses[static_cast<int>(h.l2Seen.count(line)
-                                          ? MissClass::capacity
-                                          : MissClass::cold)];
-        h.l2Seen.insert(line);
-        const int ctrl = dram_.controllerNode(line);
-        const std::uint64_t t_req = mesh_.send(home, ctrl, ctlBits_, t);
-        const std::uint64_t t_mem = dram_.access(line, t_req);
-        const std::uint64_t t_back = mesh_.send(ctrl, home, dataBits_, t_mem);
-        lat.offchip += t_back - t;
-        t = t_back;
-        const Cache::Victim victim = h.l2.insert(line, LineState::shared);
-        evictL2Line(h, home, victim, t);
-        h.dir.emplace(line, DirEntry(ackwiseK_));
-    } else {
-        ++l2_.hits;
-    }
-
-    auto dir_it = h.dir.find(line);
-    CRONO_ASSERT(dir_it != h.dir.end(), "L2 line without directory entry");
-    DirEntry& de = dir_it->second;
+    std::uint64_t t = reachHome(core, line, start, lat);
+    CRONO_ASSERT(lines_[line].inL2, "L2 line without directory entry");
+    DirEntry& de = lines_[line].dir;
 
     LineState grant;
     switch (de.state) {
@@ -184,7 +168,7 @@ MemorySystem::accessLine(int core, LineAddr line, bool is_store,
         CRONO_ASSERT(de.owner != core,
                      "requester cannot be the registered owner");
         const std::uint64_t done =
-            recallOwner(h, de, line, home, /*invalidate_owner=*/is_store, t);
+            recallOwner(de, line, home, /*invalidate_owner=*/is_store, t);
         lat.sharers += done - t;
         t = done;
         if (is_store) {
@@ -208,7 +192,7 @@ MemorySystem::accessLine(int core, LineAddr line, bool is_store,
     }
 
     // Home is busy with this line until it sends the reply.
-    h.busyUntil[line] = t;
+    lines_[line].busyUntil = t;
 
     // Reply to the requester (data, or just an ack for upgrades).
     const std::uint64_t t_reply =
@@ -219,9 +203,56 @@ MemorySystem::accessLine(int core, LineAddr line, bool is_store,
         me.l1d.setState(line, LineState::modified);
     } else {
         const Cache::Victim victim = me.l1d.insert(line, grant);
+        l1 = kResident;
         evictL1Line(core, victim, t_reply);
     }
     return lat;
+}
+
+std::uint64_t
+MemorySystem::reachHome(int core, LineAddr line, std::uint64_t start,
+                        AccessLatency& lat)
+{
+    const int home = homeOf(line);
+    Node& h = nodes_[home];
+    LineInfo& info = lines_[line];
+
+    std::uint64_t t = mesh_.send(core, home, ctlBits_, start);
+    lat.l1_to_l2 += t - start;
+
+    // Serialize against an in-flight transaction on the same line.
+    if (info.busyUntil > t) {
+        lat.waiting += info.busyUntil - t;
+        t = info.busyUntil;
+    }
+
+    // First access to the L2 slice (tag + data + directory).
+    ++dirStats_.lookups;
+    ++l2_.accesses;
+    t += l2Cycles_;
+    lat.l1_to_l2 += l2Cycles_;
+
+    if (info.inL2) {
+        const LineState l2_state = h.l2.lookup(line);
+        CRONO_ASSERT(l2_state != LineState::invalid,
+                     "directory entry without L2 line");
+        ++l2_.hits;
+        return t;
+    }
+    // Fetch the line from DRAM through this slice's controller.
+    ++l2_.misses[static_cast<int>(info.l2Seen ? MissClass::capacity
+                                              : MissClass::cold)];
+    info.l2Seen = true;
+    const int ctrl = dram_.controllerNode(line);
+    const std::uint64_t t_req = mesh_.send(home, ctrl, ctlBits_, t);
+    const std::uint64_t t_mem = dram_.access(line, t_req);
+    const std::uint64_t t_back = mesh_.send(ctrl, home, dataBits_, t_mem);
+    lat.offchip += t_back - t;
+    const Cache::Victim victim = h.l2.insert(line, LineState::shared);
+    evictL2Line(home, victim, t_back);
+    info.dir = DirEntry(ackwiseK_);
+    info.inL2 = true;
+    return t_back;
 }
 
 AccessLatency
@@ -234,40 +265,9 @@ MemorySystem::remoteAccessLine(int core, LineAddr line, bool is_store,
     (void)is_store;
     ++l1d_.misses[static_cast<int>(MissClass::cold)];
     const int home = homeOf(line);
-    Node& h = nodes_[home];
     AccessLatency lat;
-
-    std::uint64_t t = mesh_.send(core, home, ctlBits_, start);
-    lat.l1_to_l2 += t - start;
-    if (auto busy = h.busyUntil.find(line);
-        busy != h.busyUntil.end() && busy->second > t) {
-        lat.waiting += busy->second - t;
-        t = busy->second;
-    }
-    ++dirStats_.lookups;
-    ++l2_.accesses;
-    t += l2Cycles_;
-    lat.l1_to_l2 += l2Cycles_;
-
-    if (h.l2.lookup(line) == LineState::invalid) {
-        ++l2_.misses[static_cast<int>(h.l2Seen.count(line)
-                                          ? MissClass::capacity
-                                          : MissClass::cold)];
-        h.l2Seen.insert(line);
-        const int ctrl = dram_.controllerNode(line);
-        const std::uint64_t t_req = mesh_.send(home, ctrl, ctlBits_, t);
-        const std::uint64_t t_mem = dram_.access(line, t_req);
-        const std::uint64_t t_back =
-            mesh_.send(ctrl, home, dataBits_, t_mem);
-        lat.offchip += t_back - t;
-        t = t_back;
-        const Cache::Victim victim = h.l2.insert(line, LineState::shared);
-        evictL2Line(h, home, victim, t);
-        h.dir.emplace(line, DirEntry(ackwiseK_));
-    } else {
-        ++l2_.hits;
-    }
-    h.busyUntil[line] = t;
+    const std::uint64_t t = reachHome(core, line, start, lat);
+    lines_[line].busyUntil = t;
     const std::uint64_t t_reply = mesh_.send(home, core, ctlBits_, t);
     lat.l1_to_l2 += t_reply - t;
     return lat;
@@ -279,13 +279,14 @@ MemorySystem::invalidateSharers(DirEntry& de, LineAddr line,
                                 MissClass reason)
 {
     std::uint64_t done = t;
+    std::uint8_t* const l1 = l1Bytes(line);
     auto invalidate_one = [&](int s) {
         if (s == except) {
             return;
         }
-        Node& sharer = nodes_[s];
-        if (sharer.l1d.invalidate(line) != LineState::invalid) {
-            sharer.l1History[line] = reason;
+        if (l1[s] == kResident) {
+            nodes_[s].l1d.invalidate(line);
+            l1[s] = static_cast<std::uint8_t>(reason);
             ++dirStats_.invalidations;
         }
         const std::uint64_t t_inv = mesh_.send(home, s, ctlBits_, t);
@@ -300,15 +301,13 @@ MemorySystem::invalidateSharers(DirEntry& de, LineAddr line,
             invalidate_one(s);
         }
     } else {
-        for (int s : de.sharers.pointers()) {
-            invalidate_one(s);
-        }
+        de.sharers.forEachPointer(invalidate_one);
     }
     return done;
 }
 
 std::uint64_t
-MemorySystem::recallOwner(Node& h, DirEntry& de, LineAddr line, int home,
+MemorySystem::recallOwner(DirEntry& de, LineAddr line, int home,
                           bool invalidate_owner, std::uint64_t t)
 {
     const int owner = de.owner;
@@ -321,11 +320,12 @@ MemorySystem::recallOwner(Node& h, DirEntry& de, LineAddr line, int home,
                  "registered owner does not hold the line");
     if (owner_state == LineState::modified) {
         ++dirStats_.write_backs;
-        h.l2.setState(line, LineState::modified); // slice copy now dirty
+        // The slice copy is now dirty.
+        nodes_[home].l2.setState(line, LineState::modified);
     }
     if (invalidate_owner) {
         o.l1d.invalidate(line);
-        o.l1History[line] = MissClass::sharing;
+        l1Bytes(line)[owner] = static_cast<std::uint8_t>(MissClass::sharing);
         ++dirStats_.invalidations;
     } else {
         o.l1d.setState(line, LineState::shared);
@@ -335,15 +335,17 @@ MemorySystem::recallOwner(Node& h, DirEntry& de, LineAddr line, int home,
 }
 
 void
-MemorySystem::evictL2Line(Node& h, int home, const Cache::Victim& victim,
+MemorySystem::evictL2Line(int home, const Cache::Victim& victim,
                           std::uint64_t t)
 {
     if (!victim.valid) {
         return;
     }
-    auto dir_it = h.dir.find(victim.line);
-    CRONO_ASSERT(dir_it != h.dir.end(), "L2 victim without directory entry");
-    DirEntry& de = dir_it->second;
+    LineInfo& info = lines_[victim.line];
+    CRONO_ASSERT(info.inL2, "L2 victim without directory entry");
+    DirEntry& de = info.dir;
+    std::uint8_t* const l1 = l1Bytes(victim.line);
+    const auto capacity = static_cast<std::uint8_t>(MissClass::capacity);
 
     bool dirty = victim.state == LineState::modified;
     if (de.state == DirState::exclusive) {
@@ -357,22 +359,21 @@ MemorySystem::evictL2Line(Node& h, int home, const Cache::Victim& victim,
             ++dirStats_.write_backs;
         }
         o.l1d.invalidate(victim.line);
-        o.l1History[victim.line] = MissClass::capacity;
+        l1[owner] = capacity;
         ++dirStats_.invalidations;
     } else if (de.state == DirState::shared) {
         // Inclusive L2: back-invalidate every L1 sharer.
         const bool overflowed = de.sharers.overflowed();
         for (int s = 0; s < numCores_; ++s) {
-            if (!overflowed && !de.sharers.contains(s)) {
+            if (l1[s] != kResident ||
+                (!overflowed && !de.sharers.contains(s))) {
                 continue;
             }
-            Node& sharer = nodes_[s];
-            if (sharer.l1d.invalidate(victim.line) != LineState::invalid) {
-                sharer.l1History[victim.line] = MissClass::capacity;
-                ++dirStats_.invalidations;
-                mesh_.send(home, s, ctlBits_, t);
-                mesh_.send(s, home, ctlBits_, t + 1);
-            }
+            nodes_[s].l1d.invalidate(victim.line);
+            l1[s] = capacity;
+            ++dirStats_.invalidations;
+            mesh_.send(home, s, ctlBits_, t);
+            mesh_.send(s, home, ctlBits_, t + 1);
         }
         if (overflowed) {
             ++dirStats_.broadcasts;
@@ -383,8 +384,8 @@ MemorySystem::evictL2Line(Node& h, int home, const Cache::Victim& victim,
         mesh_.send(home, dram_.controllerNode(victim.line), dataBits_, t);
         dram_.access(victim.line, t);
     }
-    h.dir.erase(dir_it);
-    h.busyUntil.erase(victim.line);
+    info.inL2 = false;
+    info.busyUntil = 0;
 }
 
 void
@@ -394,22 +395,19 @@ MemorySystem::evictL1Line(int core, const Cache::Victim& victim,
     if (!victim.valid) {
         return;
     }
-    Node& me = nodes_[core];
-    me.l1History[victim.line] = MissClass::capacity;
+    l1Bytes(victim.line)[core] = static_cast<std::uint8_t>(MissClass::capacity);
 
     const int home = homeOf(victim.line);
-    Node& h = nodes_[home];
-    auto dir_it = h.dir.find(victim.line);
-    CRONO_ASSERT(dir_it != h.dir.end(),
-                 "L1 victim without home directory entry");
-    DirEntry& de = dir_it->second;
+    LineInfo& info = lines_[victim.line];
+    CRONO_ASSERT(info.inL2, "L1 victim without home directory entry");
+    DirEntry& de = info.dir;
 
     // Non-silent eviction: tell the home so sharer sets stay precise.
     const bool dirty = victim.state == LineState::modified;
     mesh_.send(core, home, dirty ? dataBits_ : ctlBits_, t);
     if (dirty) {
         ++dirStats_.write_backs;
-        h.l2.setState(victim.line, LineState::modified);
+        nodes_[home].l2.setState(victim.line, LineState::modified);
     }
 
     if (de.state == DirState::exclusive) {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/cache.h"
@@ -41,6 +40,12 @@ namespace crono::sim {
 class MemorySystem {
   public:
     explicit MemorySystem(const Config& cfg);
+
+    /**
+     * Return to the freshly constructed state: cold caches, no lines
+     * translated, zeroed counters. Reuses the allocated tables.
+     */
+    void reset();
 
     /**
      * Model one data access.
@@ -96,24 +101,44 @@ class MemorySystem {
 
         Cache l1d;
         Cache l2;
-        /** Last reason a line left this L1 (for miss classification). */
-        std::unordered_map<LineAddr, MissClass> l1History;
-        /** Lines ever resident in this L2 slice (cold/capacity split). */
-        std::unordered_set<LineAddr> l2Seen;
-        /** Directory entries for lines resident in this slice. */
-        std::unordered_map<LineAddr, DirEntry> dir;
-        /** In-flight transaction serialization per line. */
-        std::unordered_map<LineAddr, std::uint64_t> busyUntil;
-        /**
-         * Locality tracking (adaptive mode): per-line, per-core access
-         * counts observed at this home slice.
-         */
-        std::unordered_map<LineAddr, std::unordered_map<int, std::uint32_t>>
-            reuse;
     };
+
+    /** Coherence state of one line, kept at its home slice. */
+    struct LineInfo {
+        explicit LineInfo(int k) : dir(k) {}
+
+        /** Meaningful only while inL2. */
+        DirEntry dir;
+        /** In-flight transaction serialization. */
+        std::uint64_t busyUntil = 0;
+        /** Resident in its home slice, so the directory entry exists. */
+        bool inL2 = false;
+        /** Ever resident in its home slice (cold/capacity split). */
+        bool l2Seen = false;
+    };
+
+    /**
+     * Per-(line, core) L1 byte meaning "resident in this L1"; any other
+     * value is the MissClass of the line's last departure from it.
+     */
+    static constexpr std::uint8_t kResident = 0xff;
+
+    std::uint8_t*
+    l1Bytes(LineAddr line)
+    {
+        return &l1Lines_[line * static_cast<std::size_t>(numCores_)];
+    }
 
     AccessLatency accessLine(int core, LineAddr line, bool is_store,
                              std::uint64_t start);
+
+    /**
+     * Send @p core's request to @p line's home slice and look the line
+     * up there, fetching it from DRAM on an L2 miss. @return the time
+     * the home holds the line and its directory entry.
+     */
+    std::uint64_t reachHome(int core, LineAddr line, std::uint64_t start,
+                            AccessLatency& lat);
 
     /** Home-only service path used when Config::l1_allocation is off. */
     AccessLatency remoteAccessLine(int core, LineAddr line, bool is_store,
@@ -131,21 +156,29 @@ class MemorySystem {
      * Fetch (and invalidate or downgrade) the exclusive owner's copy.
      * @return time the write-back data reaches @p home.
      */
-    std::uint64_t recallOwner(Node& h, DirEntry& de, LineAddr line,
-                              int home, bool invalidate_owner,
-                              std::uint64_t t);
+    std::uint64_t recallOwner(DirEntry& de, LineAddr line, int home,
+                              bool invalidate_owner, std::uint64_t t);
 
     /** Handle eviction of @p victim from the home slice @p home. */
-    void evictL2Line(Node& h, int home, const Cache::Victim& victim,
+    void evictL2Line(int home, const Cache::Victim& victim,
                      std::uint64_t t);
 
     /** Victim handling for an L1 insertion by @p core. */
     void evictL1Line(int core, const Cache::Victim& victim,
                      std::uint64_t t);
 
+    Config cfg_; // for reset()
     std::vector<Node> nodes_;
     std::unordered_map<std::uintptr_t, LineAddr> lineMap_;
-    LineAddr nextLine_ = 1; // line 0 reserved (never mapped)
+    /** [line]; line 0 is reserved (never mapped), so size = next line. */
+    std::vector<LineInfo> lines_;
+    std::vector<std::uint8_t> l1Lines_; // [line][core]
+    /**
+     * Locality tracking (adaptive mode): per-line, per-core access
+     * counts observed at the line's home slice.
+     */
+    std::unordered_map<LineAddr, std::unordered_map<int, std::uint32_t>>
+        reuse_;
     Mesh mesh_;
     Dram dram_;
     CacheStats l1d_;

@@ -69,6 +69,7 @@ struct CacheStats {
         return accesses ? static_cast<double>(totalMisses()) / accesses : 0.0;
     }
     CacheStats& operator+=(const CacheStats& o);
+    bool operator==(const CacheStats&) const = default;
 };
 
 /** On-chip network counters. */
@@ -78,6 +79,7 @@ struct NetworkStats {
     std::uint64_t flit_hops = 0;     ///< flits x links traversed
     std::uint64_t contention_cycles = 0;
     NetworkStats& operator+=(const NetworkStats& o);
+    bool operator==(const NetworkStats&) const = default;
 };
 
 /** DRAM counters. */
@@ -85,6 +87,7 @@ struct DramStats {
     std::uint64_t accesses = 0;
     std::uint64_t queue_cycles = 0;
     DramStats& operator+=(const DramStats& o);
+    bool operator==(const DramStats&) const = default;
 };
 
 /** Directory protocol counters. */
@@ -94,6 +97,7 @@ struct DirectoryStats {
     std::uint64_t broadcasts = 0;      ///< ACKwise overflow broadcasts
     std::uint64_t write_backs = 0;
     DirectoryStats& operator+=(const DirectoryStats& o);
+    bool operator==(const DirectoryStats&) const = default;
 };
 
 /** Dynamic energy, one bucket per Figure 6 bar segment. */

@@ -1,11 +1,13 @@
 /**
  * @file
  * Set-associative cache model tests: lookup, LRU replacement,
- * eviction reporting, and state maintenance, on a 2-way geometry as
- * well as direct-mapped and single-set ones.
+ * eviction reporting, state maintenance and reset, on a 2-way
+ * geometry as well as direct-mapped and single-set ones.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sim/cache.h"
 
@@ -204,6 +206,34 @@ TEST(Cache, FullCacheKeepsCapacity)
         }
         EXPECT_EQ(other.occupancy(), 4u); // 4 x 1 and 1 x 4
     }
+}
+
+TEST(Cache, ResetMatchesFreshCache)
+{
+    // The same insert/lookup/invalidate sequence must pick the same
+    // victims on a reset cache as on a fresh one.
+    const auto replay = [](Cache& c) {
+        std::vector<LineAddr> victims;
+        for (LineAddr i = 0; i < 40; ++i) {
+            const LineAddr line = (i * 7) % 13;
+            if (c.lookup(line) != LineState::invalid) {
+                if (i % 3 == 0) {
+                    c.invalidate(line);
+                }
+                continue;
+            }
+            const Cache::Victim v = c.insert(line, LineState::shared);
+            victims.push_back(v.valid ? v.line : ~LineAddr{0});
+        }
+        return victims;
+    };
+    Cache fresh(tinyConfig(), 64);
+    const std::vector<LineAddr> want = replay(fresh);
+    Cache reused(tinyConfig(), 64);
+    replay(reused); // leaves holes: it invalidates some hits
+    reused.reset();
+    EXPECT_EQ(reused.occupancy(), 0u);
+    EXPECT_EQ(replay(reused), want);
 }
 
 } // namespace

@@ -3,10 +3,14 @@
  * Coherence-protocol tests driven directly against MemorySystem:
  * MESI state transitions, miss classification (cold / capacity /
  * sharing), invalidation and write-back accounting, ACKwise broadcast
- * on overflow, line serialization, and address translation.
+ * on overflow, inclusive-L2 back-invalidation, line serialization, and
+ * address translation.
  */
 
 #include <gtest/gtest.h>
+
+#include <numeric>
+#include <vector>
 
 #include "sim/memory_system.h"
 
@@ -181,6 +185,72 @@ TEST_F(MemorySystemTest, L2HitAfterL1Eviction)
     const auto dram = mem_.dramStats().accesses;
     read(0, 0); // L1 capacity miss, but the L2 slice still holds it
     EXPECT_EQ(mem_.dramStats().accesses, dram);
+}
+
+/**
+ * Fixture for inclusive-L2 back-invalidation: every line is translated
+ * up front, so line index i is sim line i + 1 and lines a fixed stride
+ * apart share both a home slice and an L2 set.
+ */
+class L2BackInvalidationTest : public MemorySystemTest {
+  protected:
+    L2BackInvalidationTest()
+        : stride_(std::lcm<std::uint64_t>(
+              cfg_.num_cores, cfg_.l2.numSets(cfg_.line_bytes)))
+    {
+        for (std::uint64_t i = 0; i <= kVictim + ways() * stride_; ++i) {
+            simLine(i);
+        }
+    }
+
+    std::uint64_t ways() const { return cfg_.l2.associativity; }
+
+    /**
+     * @p sharers read the victim line, then core 0 reads one line per
+     * way of its L2 set; the victim, least recently used, is evicted.
+     * Each former sharer must lose its copy and re-miss as capacity.
+     */
+    void
+    checkBackInvalidation(const std::vector<int>& sharers, bool overflowed)
+    {
+        for (int core : sharers) {
+            read(core, kVictim);
+        }
+        ASSERT_EQ(mem_.dirState(simLine(kVictim)), DirState::shared);
+        const DirectoryStats before = mem_.directoryStats();
+        for (std::uint64_t w = 1; w <= ways(); ++w) {
+            read(0, kVictim + w * stride_);
+        }
+        EXPECT_EQ(mem_.dirState(simLine(kVictim)), DirState::uncached);
+        EXPECT_EQ(mem_.directoryStats().invalidations,
+                  before.invalidations + sharers.size());
+        EXPECT_EQ(mem_.directoryStats().broadcasts,
+                  before.broadcasts + (overflowed ? 1 : 0));
+        const auto capacity = static_cast<int>(MissClass::capacity);
+        for (int core : sharers) {
+            EXPECT_EQ(mem_.l1State(core, simLine(kVictim)),
+                      LineState::invalid)
+                << "core " << core;
+            const std::uint64_t misses = mem_.l1dStats().misses[capacity];
+            read(core, kVictim);
+            EXPECT_EQ(mem_.l1dStats().misses[capacity], misses + 1)
+                << "core " << core;
+        }
+    }
+
+    static constexpr std::uint64_t kVictim = 3;
+    const std::uint64_t stride_;
+};
+
+TEST_F(L2BackInvalidationTest, PreciseSharersLoseTheirCopies)
+{
+    checkBackInvalidation({4, 9, 200}, /*overflowed=*/false);
+}
+
+TEST_F(L2BackInvalidationTest, OverflowedSharersLoseTheirCopies)
+{
+    // Six readers overflow the four ACKwise pointers.
+    checkBackInvalidation({1, 2, 5, 7, 100, 255}, /*overflowed=*/true);
 }
 
 TEST_F(MemorySystemTest, LineSerializationChargesWaiting)

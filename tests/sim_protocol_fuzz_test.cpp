@@ -10,6 +10,8 @@
  *
  * Runs across several seeds, with and without ACKwise overflow
  * pressure, in classic, remote-only and adaptive coherence modes.
+ * A differential case checks that MemorySystem::reset() restores the
+ * freshly constructed state in each mode.
  */
 
 #include <gtest/gtest.h>
@@ -135,6 +137,95 @@ TEST_P(ProtocolFuzz, RemoteOnlyModeNeverCaches)
     EXPECT_EQ(mem.l1dStats().hits, 0u);
     EXPECT_EQ(mem.directoryStats().invalidations, 0u);
 }
+
+/**
+ * reset() must restore the freshly constructed state: a storm, a
+ * reset, then a second storm must match a fresh memory system fed the
+ * second storm alone, counter for counter and line for line.
+ */
+class ResetDifferential : public ::testing::TestWithParam<std::uint64_t> {
+  protected:
+    static constexpr std::size_t kLines = 24;
+    static constexpr int kSteps = 3000;
+
+    /**
+     * Random accesses to kLines host lines from @p base, starting at
+     * time 0, with instruction fetches mixed in.
+     */
+    static void
+    storm(MemorySystem& mem, const Config& cfg, std::uintptr_t base,
+          std::uint64_t seed)
+    {
+        Rng rng(seed);
+        std::uint64_t t = 0;
+        for (int step = 0; step < kSteps; ++step) {
+            const auto idx = rng.nextBelow(kLines);
+            const int core = static_cast<int>(rng.nextBelow(cfg.num_cores));
+            mem.access(core, (base + idx) * cfg.line_bytes, 8,
+                       rng.nextBelow(3) == 0, t);
+            mem.instructionFetch(rng.nextBelow(4));
+            t += rng.nextBelow(50);
+        }
+    }
+
+    void
+    check(Config cfg, int cores)
+    {
+        cfg.num_cores = cores;
+        // The first storm's lines half overlap the second's, so a
+        // translation left behind by reset() would move some of them.
+        MemorySystem reused(cfg);
+        storm(reused, cfg, 0x1000 + kLines / 2, GetParam() + 1);
+        reused.reset();
+        storm(reused, cfg, 0x1000, GetParam());
+
+        MemorySystem fresh(cfg);
+        storm(fresh, cfg, 0x1000, GetParam());
+
+        EXPECT_EQ(reused.l1dStats(), fresh.l1dStats());
+        EXPECT_EQ(reused.l2Stats(), fresh.l2Stats());
+        EXPECT_EQ(reused.directoryStats(), fresh.directoryStats());
+        EXPECT_EQ(reused.networkStats(), fresh.networkStats());
+        EXPECT_EQ(reused.dramStats(), fresh.dramStats());
+        EXPECT_EQ(reused.l1iAccesses(), fresh.l1iAccesses());
+        for (std::size_t i = 0; i < kLines; ++i) {
+            const LineAddr line = fresh.translateLine(0x1000 + i);
+            ASSERT_EQ(reused.translateLine(0x1000 + i), line);
+            EXPECT_EQ(reused.dirState(line), fresh.dirState(line))
+                << "line " << line;
+            for (int c = 0; c < cores; ++c) {
+                EXPECT_EQ(reused.l1State(c, line), fresh.l1State(c, line))
+                    << "line " << line << " core " << c;
+            }
+        }
+    }
+};
+
+TEST_P(ResetDifferential, ClassicMesiWithAckwiseOverflow)
+{
+    // 9 cores on 24 lines overflow the 4 ACKwise pointers; the tiny L1
+    // adds evictions.
+    Config cfg = Config::futuristic256();
+    cfg.l1d = CacheConfig{1024, 2, 1};
+    check(cfg, 9);
+}
+
+TEST_P(ResetDifferential, RemoteOnlyMode)
+{
+    Config cfg = Config::futuristic256();
+    cfg.l1_allocation = false;
+    check(cfg, 8);
+}
+
+TEST_P(ResetDifferential, LocalityMode)
+{
+    Config cfg = Config::futuristic256();
+    cfg.locality_threshold = 3;
+    check(cfg, 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResetDifferential,
+                         ::testing::Values(5, 61, 233));
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz,
                          ::testing::Values(11, 23, 47, 89, 177));
