@@ -1,119 +1,96 @@
 /**
  * @file
- * DeltaBatch grouping and the per-snapshot merge into an ordinary
- * CSR. The merge preserves the edge multiset exactly (parallel edges
- * and all) and re-sorts each adjacency row ascending, matching the
- * builder's invariant so any kernel can consume the result.
+ * The ingest merge and Snapshot construction. The merge preserves
+ * the edge multiset exactly (parallel edges and all) and keeps each
+ * adjacency row sorted by (neighbor, weight), matching the builder's
+ * invariant so any kernel can consume the result.
  */
 
 #include "serve/delta_csr.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/macros.h"
 
 namespace crono::serve {
 
-DeltaBatch::DeltaBatch(std::vector<graph::Edge> edges,
-                       std::shared_ptr<const DeltaBatch> prev)
-    : edges_(std::move(edges)), prev_(std::move(prev))
+graph::Graph
+mergeBatch(const graph::Graph& prev, std::span<const graph::Edge> batch)
 {
-    std::sort(edges_.begin(), edges_.end(),
-              [](const graph::Edge& a, const graph::Edge& b) {
-                  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
-    totalEdges_ = edges_.size() +
-                  (prev_ != nullptr ? prev_->totalEdges() : 0);
-    depth_ = 1 + (prev_ != nullptr ? prev_->depth() : 0);
-}
+    const graph::VertexId n = prev.numVertices();
+    const std::span<const graph::EdgeId> off(prev.rawOffsets());
+    const std::span<const graph::VertexId> nbr(prev.rawNeighbors());
+    const std::span<const graph::Weight> wt(prev.rawWeights());
 
-std::pair<std::size_t, std::size_t>
-DeltaBatch::rangeOf(graph::VertexId v) const
-{
-    const auto lo = std::lower_bound(
-        edges_.begin(), edges_.end(), v,
-        [](const graph::Edge& e, graph::VertexId x) { return e.src < x; });
-    auto hi = lo;
-    while (hi != edges_.end() && hi->src == v) {
-        ++hi;
+    AlignedVector<graph::EdgeId> offsets(off.size());
+    AlignedVector<graph::VertexId> neighbors(nbr.size() + batch.size());
+    AlignedVector<graph::Weight> weights(neighbors.size());
+
+    std::size_t next = 0;   // first batch edge not yet placed
+    graph::EdgeId from = 0; // first slot of prev not yet placed
+    graph::EdgeId to = 0;   // first output slot not yet written
+    graph::VertexId v = 0;  // first vertex whose offset is unset
+    // Copy prev's slots [from, end) verbatim. subspan bounds-checks
+    // under _GLIBCXX_ASSERTIONS, so an off-by-one here traps.
+    const auto copyRun = [&](graph::EdgeId end) {
+        std::ranges::copy(nbr.subspan(from, end - from),
+                          std::span(neighbors).subspan(to).begin());
+        std::ranges::copy(wt.subspan(from, end - from),
+                          std::span(weights).subspan(to).begin());
+        to += end - from;
+        from = end;
+    };
+    while (next < batch.size()) {
+        const graph::VertexId src = batch[next].src;
+        CRONO_ASSERT(src < n && src >= v, "merge batch not sorted by src");
+        for (; v <= src; ++v) {
+            offsets[v] = off[v] + next;
+        }
+        copyRun(off[src]);
+        const graph::EdgeId row_end = off[src + 1];
+        std::size_t group_end = next;
+        while (group_end < batch.size() && batch[group_end].src == src) {
+            ++group_end;
+        }
+        while (from < row_end || next < group_end) {
+            const bool take_batch =
+                next < group_end &&
+                (from == row_end ||
+                 std::tie(batch[next].dst, batch[next].weight) <
+                     std::tie(nbr[from], wt[from]));
+            if (take_batch) {
+                neighbors[to] = batch[next].dst;
+                weights[to] = batch[next].weight;
+                ++next;
+            } else {
+                neighbors[to] = nbr[from];
+                weights[to] = wt[from];
+                ++from;
+            }
+            ++to;
+        }
     }
-    return {static_cast<std::size_t>(lo - edges_.begin()),
-            static_cast<std::size_t>(hi - edges_.begin())};
-}
-
-std::uint64_t
-DeltaBatch::degreeOf(graph::VertexId v) const
-{
-    const auto [lo, hi] = rangeOf(v);
-    return hi - lo;
+    for (; v <= n; ++v) {
+        offsets[v] = off[v] + batch.size();
+    }
+    copyRun(nbr.size());
+    CRONO_ASSERT(to == neighbors.size(), "merge fill mismatch");
+    return graph::Graph(std::move(offsets), std::move(neighbors),
+                        std::move(weights), prev.undirected());
 }
 
 Snapshot::Snapshot(std::uint64_t epoch,
-                   std::shared_ptr<const graph::Graph> base,
+                   std::shared_ptr<const graph::Graph> graph,
                    std::shared_ptr<const graph::VertexPermutation> perm,
-                   std::shared_ptr<const DeltaBatch> delta)
-    : epoch_(epoch), base_(std::move(base)), perm_(std::move(perm)),
-      delta_(std::move(delta))
+                   std::uint64_t delta_edges, std::uint32_t delta_depth)
+    : epoch_(epoch), graph_(std::move(graph)), perm_(std::move(perm)),
+      deltaEdges_(delta_edges), deltaDepth_(delta_depth)
 {
-    CRONO_REQUIRE(base_ != nullptr && perm_ != nullptr,
-                  "snapshot needs a base graph and a permutation");
-    CRONO_REQUIRE(perm_->size() == base_->numVertices(),
-                  "permutation does not cover the base graph");
-}
-
-std::uint64_t
-Snapshot::degree(graph::VertexId v) const
-{
-    std::uint64_t d = base_->degree(v);
-    for (const DeltaBatch* b = delta_.get(); b != nullptr;
-         b = b->prev().get()) {
-        d += b->degreeOf(v);
-    }
-    return d;
-}
-
-const graph::Graph&
-Snapshot::materialized() const
-{
-    if (delta_ == nullptr) {
-        return *base_;
-    }
-    std::call_once(materializeOnce_, [this] {
-        const graph::VertexId n = base_->numVertices();
-        AlignedVector<graph::EdgeId> offsets(n + 1, 0);
-        for (graph::VertexId v = 0; v < n; ++v) {
-            offsets[v + 1] = offsets[v] + degree(v);
-        }
-        const auto total = static_cast<std::size_t>(offsets[n]);
-        AlignedVector<graph::VertexId> neighbors(total);
-        AlignedVector<graph::Weight> weights(total);
-        for (graph::VertexId v = 0; v < n; ++v) {
-            std::size_t at = offsets[v];
-            forEachEdge(v, [&](graph::VertexId dst, graph::Weight w) {
-                neighbors[at] = dst;
-                weights[at] = w;
-                ++at;
-            });
-            CRONO_ASSERT(at == offsets[v + 1],
-                         "materialize fill mismatch");
-            // Re-sort the row ascending (builder invariant); the
-            // weights ride along with their neighbor.
-            std::vector<std::pair<graph::VertexId, graph::Weight>> row;
-            row.reserve(at - offsets[v]);
-            for (std::size_t i = offsets[v]; i < at; ++i) {
-                row.emplace_back(neighbors[i], weights[i]);
-            }
-            std::sort(row.begin(), row.end());
-            for (std::size_t i = 0; i < row.size(); ++i) {
-                neighbors[offsets[v] + i] = row[i].first;
-                weights[offsets[v] + i] = row[i].second;
-            }
-        }
-        materialized_ = std::make_shared<const graph::Graph>(
-            std::move(offsets), std::move(neighbors), std::move(weights),
-            base_->undirected());
-    });
-    return *materialized_;
+    CRONO_REQUIRE(graph_ != nullptr && perm_ != nullptr,
+                  "snapshot needs a graph and a permutation");
+    CRONO_REQUIRE(perm_->size() == graph_->numVertices(),
+                  "permutation does not cover the graph");
 }
 
 } // namespace crono::serve

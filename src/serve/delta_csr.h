@@ -1,30 +1,21 @@
 /**
  * @file
- * Delta-CSR overlay and epoch snapshots (DESIGN.md §17.2).
+ * Epoch snapshots and the ingest merge (DESIGN.md §17.2).
  *
- * The base graph is the immutable CSR everything else in the tree
- * computes on — reordered and blocked-layout-equipped like any PR-5
- * input. Ingest never touches it: each accepted edge batch becomes an
- * immutable DeltaBatch (a miniature CSR of just the new edges, in the
- * base's internal id space, mirrored when the base is undirected)
- * chained onto the previous one, and a new Snapshot is published that
- * shares the base and points at the longer chain.
+ * Every epoch is one ordinary CSR: the graph::Graph everything else
+ * in the tree computes on, in the epoch's internal (post-reordering)
+ * id space. Ingest never touches a published graph. It builds the
+ * next epoch's CSR as a linear merge of the previous epoch's rows
+ * with the sorted internal batch (mergeBatch below) and publishes a
+ * new Snapshot over it.
  *
  * A Snapshot is therefore a persistent (in the functional-programming
  * sense) graph version: queries that pinned epoch E keep a shared_ptr
  * and see exactly E's edge multiset forever, while ingest publishes
- * E+1, E+2, ... beside it. Compaction (store.h) folds the chain into
- * a fresh base and re-runs the reordering, publishing a snapshot with
- * an empty overlay — pinned older epochs stay valid because nothing
- * is mutated, only superseded.
- *
- * materialized() is the bridge to the kernel layer: the first caller
- * per snapshot merges base + chain into one ordinary graph::Graph
- * (same internal id space, adjacency rows re-sorted, parallel edges
- * preserved) and the result is cached, so every query class runs the
- * existing core:: kernels against an honest CSR while paying the
- * merge once per epoch. A snapshot with an empty overlay returns the
- * base itself — post-compaction serving is zero-copy.
+ * E+1, E+2, ... beside it. Compaction (store.h) re-runs the
+ * reordering on the current graph and publishes a snapshot under the
+ * composed permutation; pinned older epochs stay valid because
+ * nothing is mutated, only superseded.
  */
 
 #ifndef CRONO_SERVE_DELTA_CSR_H_
@@ -32,9 +23,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "graph/builder.h"
 #include "graph/graph.h"
@@ -43,61 +32,14 @@
 namespace crono::serve {
 
 /**
- * One immutable ingest batch: the new edges grouped by (internal)
- * source vertex, chained onto the batch before it. Edges are stored
- * exactly as accepted — already mirrored for undirected bases — so
- * walking a chain enumerates directed edge slots just like a CSR row.
+ * The CSR of @p prev plus the directed edge slots of @p batch, which
+ * must be sorted by (src, dst, weight). Rows no batch edge touches
+ * are bulk-copied; touched rows are merged. Every row stays sorted by
+ * (neighbor, weight) and parallel edges are kept, so the result equals
+ * a GraphBuilder keepAll build of the combined multiset.
  */
-class DeltaBatch {
-  public:
-    /**
-     * @param edges internal-space directed edge slots of this batch
-     * @param prev  the previous batch, or nullptr for the first
-     */
-    DeltaBatch(std::vector<graph::Edge> edges,
-               std::shared_ptr<const DeltaBatch> prev);
-
-    /** Directed edge slots in this batch alone. */
-    std::uint64_t edgeCount() const { return edges_.size(); }
-
-    /** Directed edge slots in this batch and every predecessor. */
-    std::uint64_t totalEdges() const { return totalEdges_; }
-
-    /** Chain length including this batch. */
-    std::uint32_t depth() const { return depth_; }
-
-    const std::shared_ptr<const DeltaBatch>& prev() const
-    {
-        return prev_;
-    }
-
-    /** Extra out-degree of @p v contributed by this batch alone. */
-    std::uint64_t degreeOf(graph::VertexId v) const;
-
-    /** Invoke fn(dst, weight) for each of @p v's edges in this batch. */
-    template <class Fn>
-    void
-    forEachEdge(graph::VertexId v, Fn&& fn) const
-    {
-        const auto [lo, hi] = rangeOf(v);
-        for (std::size_t i = lo; i < hi; ++i) {
-            fn(edges_[i].dst, edges_[i].weight);
-        }
-    }
-
-    /** All edge slots of this batch alone (sorted by src). */
-    std::span<const graph::Edge> edges() const { return edges_; }
-
-  private:
-    /** [begin, end) index range of @p v's edges in edges_. */
-    std::pair<std::size_t, std::size_t>
-    rangeOf(graph::VertexId v) const;
-
-    std::vector<graph::Edge> edges_; ///< sorted by (src, dst)
-    std::shared_ptr<const DeltaBatch> prev_;
-    std::uint64_t totalEdges_ = 0;
-    std::uint32_t depth_ = 0;
-};
+graph::Graph mergeBatch(const graph::Graph& prev,
+                        std::span<const graph::Edge> batch);
 
 /**
  * One immutable graph version. See the file header; all vertex ids in
@@ -106,36 +48,27 @@ class DeltaBatch {
  */
 class Snapshot {
   public:
-    Snapshot(std::uint64_t epoch, std::shared_ptr<const graph::Graph> base,
+    /**
+     * @param delta_edges directed slots ingested since the last
+     *                    compaction
+     * @param delta_depth batches ingested since the last compaction
+     */
+    Snapshot(std::uint64_t epoch, std::shared_ptr<const graph::Graph> graph,
              std::shared_ptr<const graph::VertexPermutation> perm,
-             std::shared_ptr<const DeltaBatch> delta);
+             std::uint64_t delta_edges = 0, std::uint32_t delta_depth = 0);
 
     std::uint64_t epoch() const { return epoch_; }
 
-    graph::VertexId numVertices() const { return base_->numVertices(); }
+    graph::VertexId numVertices() const { return graph_->numVertices(); }
 
-    /** Directed edge slots: base plus the whole overlay chain. */
-    std::uint64_t
-    numEdges() const
-    {
-        return base_->numEdges() + deltaEdges();
-    }
+    /** Directed edge slots of this version. */
+    std::uint64_t numEdges() const { return graph_->numEdges(); }
 
-    /** Directed edge slots contributed by the overlay. */
-    std::uint64_t
-    deltaEdges() const
-    {
-        return delta_ != nullptr ? delta_->totalEdges() : 0;
-    }
+    /** Directed edge slots ingested since the last compaction. */
+    std::uint64_t deltaEdges() const { return deltaEdges_; }
 
-    /** Overlay chain length (0 right after build/compaction). */
-    std::uint32_t
-    deltaDepth() const
-    {
-        return delta_ != nullptr ? delta_->depth() : 0;
-    }
-
-    const graph::Graph& base() const { return *base_; }
+    /** Batches ingested since the last compaction. */
+    std::uint32_t deltaDepth() const { return deltaDepth_; }
 
     /** External-id <-> internal-id mapping of this version. */
     const graph::VertexPermutation& perm() const { return *perm_; }
@@ -152,45 +85,15 @@ class Snapshot {
         return perm_->toOld(internal);
     }
 
-    /** Out-degree of internal vertex @p v, overlay included. */
-    std::uint64_t degree(graph::VertexId v) const;
-
-    /** fn(dst, weight) over base edges then overlay edges of @p v. */
-    template <class Fn>
-    void
-    forEachEdge(graph::VertexId v, Fn&& fn) const
-    {
-        const std::span<const graph::VertexId> nbr = base_->neighbors(v);
-        const std::span<const graph::Weight> w = base_->weights(v);
-        for (std::size_t i = 0; i < nbr.size(); ++i) {
-            fn(nbr[i], w[i]);
-        }
-        for (const DeltaBatch* b = delta_.get(); b != nullptr;
-             b = b->prev().get()) {
-            b->forEachEdge(v, fn);
-        }
-    }
-
-    /**
-     * The merged CSR of this version (see file header). Built lazily
-     * by the first caller, cached for the snapshot's lifetime;
-     * thread-safe. With an empty overlay this is the base itself.
-     */
-    const graph::Graph& materialized() const;
-
-    /** The overlay chain tail (nullptr when compacted). */
-    const std::shared_ptr<const DeltaBatch>& deltaChain() const
-    {
-        return delta_;
-    }
+    /** The CSR of this version, built when the epoch was published. */
+    const graph::Graph& materialized() const { return *graph_; }
 
   private:
     std::uint64_t epoch_;
-    std::shared_ptr<const graph::Graph> base_;
+    std::shared_ptr<const graph::Graph> graph_;
     std::shared_ptr<const graph::VertexPermutation> perm_;
-    std::shared_ptr<const DeltaBatch> delta_;
-    mutable std::once_flag materializeOnce_;
-    mutable std::shared_ptr<const graph::Graph> materialized_;
+    std::uint64_t deltaEdges_;
+    std::uint32_t deltaDepth_;
 };
 
 } // namespace crono::serve

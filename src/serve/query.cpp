@@ -87,8 +87,12 @@ QueryEngine::bfsLevels(const Snapshot& snap,
         return std::static_pointer_cast<
             const AlignedVector<std::uint32_t>>(hit);
     }
+    // Direction-optimizing: adaptive BFS beats flag-scan per source
+    // on served graphs (DESIGN.md §17.3 has the per-class table).
     core::BfsResult r = core::bfs(exec_, config_.nthreads,
-                                  snap.materialized(), internal_source);
+                                  snap.materialized(), internal_source,
+                                  graph::kNoVertex, nullptr,
+                                  rt::FrontierMode::kAdaptive);
     auto levels = std::make_shared<const AlignedVector<std::uint32_t>>(
         std::move(r.level));
     cachePut(snap.epoch(), Kind::kBfs, internal_source, levels);
@@ -168,11 +172,12 @@ QueryEngine::degreeOrder(const Snapshot& snap)
     if (auto hit = cacheGet(snap.epoch(), Kind::kDegreeOrder, 0)) {
         return std::static_pointer_cast<const TopOrder>(hit);
     }
-    const graph::VertexId n = snap.numVertices();
+    const graph::Graph& g = snap.materialized();
+    const graph::VertexId n = g.numVertices();
     auto order = std::make_shared<TopOrder>();
     order->reserve(n);
     for (graph::VertexId v = 0; v < n; ++v) {
-        order->emplace_back(snap.degree(v), snap.toExternal(v));
+        order->emplace_back(g.degree(v), snap.toExternal(v));
     }
     const std::size_t keep =
         std::min<std::size_t>(order->size(), kMaxTopK);
@@ -219,9 +224,10 @@ QueryEngine::execute(const Request& req)
 {
     switch (req.op) {
       case Op::kIngest: {
-        // Kernel mutex held: compaction (auto or forced) runs
-        // reorderGraph, which records on the (kHost, 0) obs track —
-        // the same single-writer track the kernels' host spans use.
+        // Kernel mutex held: the merge shares the cores with kernel
+        // runs, and compaction (auto or forced) runs reorderGraph,
+        // which records on the (kHost, 0) obs track — the same
+        // single-writer track the kernels' host spans use.
         std::lock_guard<std::mutex> lock(kernelMutex_);
         std::uint64_t epoch = 0;
         const Status s = store_.ingestBatch(req.edges, &epoch);

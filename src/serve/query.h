@@ -12,6 +12,12 @@
  * components and the top-k orders are per-epoch and shared by every
  * session.
  *
+ * Kernels run on the snapshot's CSR, which the store built when it
+ * published the epoch, so a cold query pays for its kernel only.
+ * Modes are chosen per class from measurements (DESIGN.md §17.3):
+ * BFS is direction-optimizing (kAdaptive); SSSP and components keep
+ * the paper's flag-scan structure, where no other mode was faster.
+ *
  * Kernel runs are serialized on an internal mutex — rt::NativeExecutor
  * regions may not overlap — but cache hits bypass it entirely: the
  * common steady state (many clients, few distinct sources, ingest

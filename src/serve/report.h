@@ -32,9 +32,9 @@ struct ServeInfo {
     std::string reordering = "none";
     std::uint64_t epoch = 0;
     std::uint64_t vertices = 0;
-    std::uint64_t edge_slots = 0;   ///< directed slots, overlay included
-    std::uint64_t delta_edges = 0;  ///< overlay slots at report time
-    std::uint64_t delta_depth = 0;  ///< overlay chain length
+    std::uint64_t edge_slots = 0;   ///< directed slots of the epoch
+    std::uint64_t delta_edges = 0;  ///< slots ingested since compaction
+    std::uint64_t delta_depth = 0;  ///< batches ingested since compaction
     std::uint64_t batches_ingested = 0;
     std::uint64_t edges_ingested = 0;
     std::uint64_t compactions = 0;

@@ -1,12 +1,13 @@
 /**
  * @file
- * GraphStore: epoch publication, ingest validation/mirroring, and the
- * compaction that folds the overlay back through the PR-5 reordering
- * machinery.
+ * GraphStore: epoch publication, ingest validation/mirroring/merge,
+ * and the compaction that re-runs the graph reordering machinery.
  */
 
 #include "serve/store.h"
 
+#include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,10 +24,10 @@ GraphStore::GraphStore(graph::Graph external, StoreConfig config)
     undirected_ = external.undirected();
     graph::ReorderedGraph rg = graph::reorderGraph(
         external, config_.reordering, config_.blocked_layout);
-    base_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
+    graph_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
     perm_ = std::make_shared<const graph::VertexPermutation>(
         std::move(rg.perm));
-    publish(std::make_shared<const Snapshot>(1, base_, perm_, nullptr));
+    publish(std::make_shared<const Snapshot>(1, graph_, perm_));
 }
 
 std::shared_ptr<const Snapshot>
@@ -66,8 +67,8 @@ GraphStore::ingestBatch(std::span<const graph::Edge> edges,
 
     const std::shared_ptr<const Snapshot> cur = snapshot();
 
-    // Map into the current internal id space, mirroring as the base
-    // does so the overlay slots compose with CSR rows seamlessly.
+    // Map into the current internal id space, mirroring as the graph
+    // does, and sort the slots into the order mergeBatch expects.
     std::vector<graph::Edge> internal;
     internal.reserve(static_cast<std::size_t>(accepted) *
                      (undirected_ ? 2 : 1));
@@ -82,21 +83,27 @@ GraphStore::ingestBatch(std::span<const graph::Edge> edges,
             internal.push_back({d, s, e.weight});
         }
     }
+    std::sort(internal.begin(), internal.end(),
+              [](const graph::Edge& a, const graph::Edge& b) {
+                  return std::tie(a.src, a.dst, a.weight) <
+                         std::tie(b.src, b.dst, b.weight);
+              });
 
-    auto batch = std::make_shared<const DeltaBatch>(std::move(internal),
-                                                    cur->deltaChain());
+    graph_ = std::make_shared<const graph::Graph>(
+        mergeBatch(*graph_, internal));
     const std::uint64_t epoch = cur->epoch() + 1;
-    publish(std::make_shared<const Snapshot>(epoch, base_, perm_,
-                                             std::move(batch)));
+    const std::uint64_t delta_edges = cur->deltaEdges() + internal.size();
+    const std::uint32_t delta_depth = cur->deltaDepth() + 1;
+    publish(std::make_shared<const Snapshot>(epoch, graph_, perm_,
+                                             delta_edges, delta_depth));
     batches_.fetch_add(1, std::memory_order_relaxed);
     edges_.fetch_add(accepted, std::memory_order_relaxed);
     if (epoch_out != nullptr) {
         *epoch_out = epoch;
     }
 
-    const std::shared_ptr<const Snapshot> now = snapshot();
-    if (now->deltaEdges() >= config_.compact_delta_edges ||
-        now->deltaDepth() >= config_.compact_batches) {
+    if (delta_edges >= config_.compact_delta_edges ||
+        delta_depth >= config_.compact_batches) {
         compactLocked();
     }
     return Status::kOk;
@@ -113,35 +120,18 @@ std::uint64_t
 GraphStore::compactLocked()
 {
     const std::shared_ptr<const Snapshot> cur = snapshot();
-    const graph::Graph& mat = cur->materialized();
-
-    // Reconstruct the logical edge list in external ids. Undirected
-    // bases store both directions of every logical edge, so emitting
-    // the v < dst slot of each pair (self loops cannot exist) yields
-    // each parallel edge exactly once; the builder re-mirrors.
-    graph::GraphBuilder builder(numVertices_, undirected_);
-    for (graph::VertexId v = 0; v < mat.numVertices(); ++v) {
-        const graph::VertexId ext_src = cur->toExternal(v);
-        const std::span<const graph::VertexId> nbr = mat.neighbors(v);
-        const std::span<const graph::Weight> w = mat.weights(v);
-        for (std::size_t i = 0; i < nbr.size(); ++i) {
-            if (undirected_ && v >= nbr[i]) {
-                continue;
-            }
-            builder.addEdge(ext_src, cur->toExternal(nbr[i]), w[i]);
-        }
+    if (cur->deltaDepth() > 0) {
+        // Relabeling moves vertex ids, never edges: the multiset is
+        // unchanged, and external -> old internal -> new internal is
+        // the composed permutation.
+        graph::ReorderedGraph rg = graph::reorderGraph(
+            *graph_, config_.reordering, config_.blocked_layout);
+        graph_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
+        perm_ = std::make_shared<const graph::VertexPermutation>(
+            perm_->composedWith(rg.perm));
     }
-    builder.withReordering(config_.reordering)
-        .withBlockedLayout(config_.blocked_layout);
-    graph::ReorderedGraph rg = std::move(builder).buildReordered(
-        graph::GraphBuilder::DedupPolicy::keepAll);
-
-    base_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
-    perm_ = std::make_shared<const graph::VertexPermutation>(
-        std::move(rg.perm));
     const std::uint64_t epoch = cur->epoch() + 1;
-    publish(std::make_shared<const Snapshot>(epoch, base_, perm_,
-                                             nullptr));
+    publish(std::make_shared<const Snapshot>(epoch, graph_, perm_));
     compactions_.fetch_add(1, std::memory_order_relaxed);
     return epoch;
 }

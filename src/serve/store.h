@@ -10,19 +10,21 @@
  *  - Writers (the server's ingest thread, or a test calling
  *    ingestBatch directly) serialize on an internal mutex. An ingest
  *    validates the batch in the external id space, maps it through
- *    the current epoch's permutation, mirrors it if the base is
- *    undirected, chains a DeltaBatch, and publishes epoch+1.
- *  - Compaction runs on the same writer mutex: it reconstructs the
- *    external edge list from the current epoch's materialized graph,
- *    rebuilds through GraphBuilder with the configured Reordering and
- *    blocked layout (re-running the PR-5 machinery on the grown
- *    graph), and publishes a snapshot with an empty overlay. The edge
- *    multiset is preserved exactly (DedupPolicy::keepAll), so
- *    compaction is semantically invisible: epoch E+1 answers every
- *    query identically to E.
+ *    the current epoch's permutation, mirrors it if the graph is
+ *    undirected, sorts it, merges it into a copy of the current CSR
+ *    (mergeBatch) and publishes epoch+1 over the merged graph.
+ *  - Compaction runs on the same writer mutex: it re-runs the
+ *    configured Reordering and blocked layout on the current graph
+ *    (graph/reorder.h, applied to the grown graph) and publishes
+ *    it under the current permutation composed with the new one.
+ *    Relabeling moves vertex ids, never edges, so the edge multiset
+ *    is preserved exactly and compaction is semantically invisible:
+ *    epoch E+1 answers every query identically to E. With nothing
+ *    ingested since the last compaction it only publishes a fence
+ *    epoch over the same graph and permutation.
  *
  * Sharding: internal vertex ids are split into num_shards contiguous
- * ranges. Because the base is reordered, the ranges are meaningful —
+ * ranges. Because the graph is reordered, the ranges are meaningful —
  * under degree/hub orderings shard 0 holds the hot vertices — and the
  * server batches queries per shard so consecutive kernel runs touch
  * neighboring footprints.
@@ -51,11 +53,11 @@ struct StoreConfig {
     int num_shards = 1;
     /** Ordering applied at build and re-applied on every compaction. */
     graph::Reordering reordering = graph::Reordering::kNone;
-    /** Attach the bin-major blocked pull layout to each base. */
+    /** Attach the bin-major blocked pull layout at build and compaction. */
     bool blocked_layout = true;
-    /** Fold the overlay once it reaches this many directed slots. */
+    /** Compact once this many directed slots arrived since the last. */
     std::uint64_t compact_delta_edges = 1u << 16;
-    /** ... or this many chained batches, whichever comes first. */
+    /** ... or this many batches, whichever comes first. */
     std::uint32_t compact_batches = 16;
 };
 
@@ -93,9 +95,10 @@ class GraphStore {
                        std::uint64_t* epoch_out = nullptr);
 
     /**
-     * Fold the overlay into a fresh reordered base now. Publishes a
-     * new epoch even when the overlay is empty (callers use that as
-     * an epoch fence). @return the new epoch.
+     * Re-run the reordering on the current graph now. Publishes a new
+     * epoch even when nothing was ingested since the last compaction
+     * (callers use that as an epoch fence); that case reuses the
+     * current graph and permutation. @return the new epoch.
      */
     std::uint64_t compact();
 
@@ -131,9 +134,9 @@ class GraphStore {
 
     std::mutex writeMutex_;          ///< serializes ingest/compaction
 
-    /// Current base + permutation (written only under writeMutex_;
+    /// Current graph + permutation (written only under writeMutex_;
     /// shared into every Snapshot built on them).
-    std::shared_ptr<const graph::Graph> base_;
+    std::shared_ptr<const graph::Graph> graph_;
     std::shared_ptr<const graph::VertexPermutation> perm_;
 
     std::atomic<std::uint64_t> batches_{0};

@@ -664,7 +664,7 @@ oracleTopDegree(const graph::Graph& g, std::uint32_t k)
 /**
  * Every wire answer at one epoch must match the core::seq oracles run
  * offline on that epoch's external-space graph — the serve analogue of
- * the kernel sweeps above, proving the delta overlay, materialization,
+ * the kernel sweeps above, proving the ingest merge, compaction,
  * permutation plumbing and response encoding introduced no drift.
  */
 void

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/reorder.h"
 #include "runtime/executor.h"
@@ -50,6 +52,44 @@ randomBatch(Rng* rng, graph::VertexId n, int count)
              static_cast<graph::Weight>(1 + rng->nextBelow(32))});
     }
     return edges;
+}
+
+/** Every directed edge slot of @p g, in CSR order. */
+std::vector<graph::Edge>
+directedSlots(const graph::Graph& g)
+{
+    std::vector<graph::Edge> slots;
+    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+        const auto nbr = g.neighbors(v);
+        const auto w = g.weights(v);
+        for (std::size_t i = 0; i < nbr.size(); ++i) {
+            slots.push_back({v, nbr[i], w[i]});
+        }
+    }
+    return slots;
+}
+
+/** The directed-slot multiset of @p snap in external ids, sorted. */
+std::vector<std::tuple<graph::VertexId, graph::VertexId, graph::Weight>>
+externalSlots(const Snapshot& snap)
+{
+    std::vector<std::tuple<graph::VertexId, graph::VertexId, graph::Weight>>
+        out;
+    for (const graph::Edge& e : directedSlots(snap.materialized())) {
+        out.emplace_back(snap.toExternal(e.src), snap.toExternal(e.dst),
+                         e.weight);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** Same CSR row for row: offsets, neighbors and weights. */
+void
+expectSameCsr(const graph::Graph& got, const graph::Graph& want)
+{
+    EXPECT_EQ(got.rawOffsets(), want.rawOffsets());
+    EXPECT_EQ(got.rawNeighbors(), want.rawNeighbors());
+    EXPECT_EQ(got.rawWeights(), want.rawWeights());
 }
 
 TEST(ServeSnapshot, PinnedEpochSurvivesIngestAndCompaction)
@@ -86,7 +126,7 @@ TEST(ServeSnapshot, PinnedEpochSurvivesIngestAndCompaction)
     ASSERT_EQ(sssp0.epoch, pinned->epoch());
 
     // Mutate the store hard: several batches, then a compaction that
-    // rebuilds the base and re-runs the reordering.
+    // re-runs the reordering.
     Rng rng(99);
     for (int b = 0; b < 5; ++b) {
         ASSERT_EQ(store.ingestBatch(randomBatch(&rng, n, 16)),
@@ -111,53 +151,155 @@ TEST(ServeSnapshot, PinnedEpochSurvivesIngestAndCompaction)
     EXPECT_EQ(topd1.vertices, topd0.vertices);
 }
 
+TEST(ServeSnapshot, IngestMergeMatchesKeepAllBuild)
+{
+    // Every published epoch must be exactly the CSR a GraphBuilder
+    // keepAll build of the same directed-slot multiset produces, in
+    // the epoch's internal id space: rows sorted by (neighbor,
+    // weight), parallel edges kept. The batches hit the first and
+    // last rows, an empty base row, and parallel copies of a base
+    // edge with lower, equal and higher weights.
+    StoreConfig cfg;
+    cfg.reordering = graph::Reordering::kDegreeSort;
+    const graph::Graph external = testGraph();
+    ASSERT_TRUE(external.undirected()); // ingest mirrors every edge
+    const graph::VertexId n = external.numVertices();
+    std::vector<graph::Edge> slots = directedSlots(external);
+    GraphStore store(testGraph(), cfg);
+
+    graph::VertexId isolated = graph::kNoVertex;
+    graph::Edge base{};
+    for (graph::VertexId v = 0; v < n; ++v) {
+        if (external.degree(v) == 0 && isolated == graph::kNoVertex) {
+            isolated = v;
+        }
+        if (base.weight == 0 && external.degree(v) > 0 &&
+            external.weights(v)[0] >= 2) {
+            base = {v, external.neighbors(v)[0], external.weights(v)[0]};
+        }
+    }
+    ASSERT_NE(isolated, graph::kNoVertex) << "test graph has no empty row";
+    ASSERT_NE(base.weight, 0u);
+
+    Rng rng(23);
+    std::vector<std::vector<graph::Edge>> batches = {
+        {{0, n - 1, 5},
+         {0, 1, 3},
+         {n - 1, 2, 7},
+         {base.src, base.dst, base.weight - 1},
+         {base.src, base.dst, base.weight + 1},
+         {isolated, 0, 4},
+         {isolated, n - 1, 9},
+         {3, 3, 1}}, // self loop: dropped
+        {{base.src, base.dst, base.weight},
+         {isolated, 5, 2},
+         {isolated, 5, 2},
+         {n - 1, 0, 5}},
+        randomBatch(&rng, n, 30),
+    };
+    batches.back().push_back({0, n - 1, 5});
+
+    std::shared_ptr<const Snapshot> prev = store.snapshot();
+    std::uint64_t delta_edges = 0;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+        const std::vector<graph::Edge> prev_slots =
+            directedSlots(prev->materialized());
+        ASSERT_EQ(store.ingestBatch(batches[b]), Status::kOk);
+        for (const graph::Edge& e : batches[b]) {
+            if (e.src != e.dst) {
+                slots.push_back(e);
+                slots.push_back({e.dst, e.src, e.weight});
+                delta_edges += 2;
+            }
+        }
+        const std::shared_ptr<const Snapshot> snap = store.snapshot();
+        EXPECT_EQ(snap->epoch(), prev->epoch() + 1);
+        EXPECT_EQ(snap->deltaDepth(), b + 1);
+        EXPECT_EQ(snap->deltaEdges(), delta_edges);
+
+        graph::GraphBuilder builder(n, /*undirected=*/false);
+        for (const graph::Edge& e : slots) {
+            builder.addEdge(e.src, e.dst, e.weight);
+        }
+        const graph::Graph want = graph::permuteGraph(
+            std::move(builder).build(
+                graph::GraphBuilder::DedupPolicy::keepAll),
+            snap->perm());
+        expectSameCsr(snap->materialized(), want);
+
+        // The pinned previous epoch is untouched by the merge.
+        EXPECT_EQ(directedSlots(prev->materialized()), prev_slots);
+        prev = snap;
+    }
+}
+
 TEST(ServeSnapshot, CompactionIsSemanticallyInvisible)
 {
-    // Ingest a batch, answer queries on the delta-overlay epoch, then
-    // compact (same edge multiset, fresh reordered base) and re-ask:
-    // every answer must be identical although the internal id space
-    // was rebuilt underneath.
-    StoreConfig cfg;
-    cfg.num_shards = 3;
-    cfg.reordering = graph::Reordering::kDegreeSort;
-    GraphStore store(testGraph(), cfg);
-    rt::NativeExecutor exec(2);
-    QueryEngine engine(store, exec);
-    const graph::VertexId n = store.snapshot()->numVertices();
+    // Ingest a batch, answer queries on the merged epoch, then compact
+    // (same edge multiset, re-reordered ids) and re-ask: every answer
+    // must be identical although the internal id space was renumbered
+    // underneath. The permutation composition must hold for every
+    // ordering. A second compaction with nothing ingested is a fence:
+    // a new epoch over the same graph, answering the same again.
+    for (const graph::Reordering ordering : graph::allReorderings()) {
+        SCOPED_TRACE(graph::reorderingName(ordering));
+        StoreConfig cfg;
+        cfg.num_shards = 3;
+        cfg.reordering = ordering;
+        GraphStore store(testGraph(), cfg);
+        rt::NativeExecutor exec(2);
+        QueryEngine engine(store, exec);
+        const graph::VertexId n = store.snapshot()->numVertices();
 
-    Rng rng(5);
-    ASSERT_EQ(store.ingestBatch(randomBatch(&rng, n, 40)), Status::kOk);
-    const std::shared_ptr<const Snapshot> overlay = store.snapshot();
-    ASSERT_GT(overlay->deltaEdges(), 0u);
-    store.compact();
-    const std::shared_ptr<const Snapshot> folded = store.snapshot();
-    ASSERT_EQ(folded->deltaEdges(), 0u);
-    ASSERT_EQ(folded->numEdges(), overlay->numEdges());
+        Rng rng(5);
+        ASSERT_EQ(store.ingestBatch(randomBatch(&rng, n, 40)),
+                  Status::kOk);
+        const std::shared_ptr<const Snapshot> merged = store.snapshot();
+        ASSERT_GT(merged->deltaEdges(), 0u);
+        const std::uint64_t folded_epoch = store.compact();
+        const std::shared_ptr<const Snapshot> folded = store.snapshot();
+        ASSERT_EQ(folded->epoch(), folded_epoch);
+        ASSERT_EQ(folded->deltaEdges(), 0u);
+        ASSERT_EQ(folded->deltaDepth(), 0u);
+        ASSERT_EQ(folded->numEdges(), merged->numEdges());
+        EXPECT_EQ(externalSlots(*folded), externalSlots(*merged));
 
-    Rng pick(17);
-    for (int i = 0; i < 12; ++i) {
-        Request req;
-        req.op = (i % 3 == 0)   ? Op::kSsspDist
-                 : (i % 3 == 1) ? Op::kBfsDist
-                                : Op::kComponent;
-        req.source = static_cast<graph::VertexId>(pick.nextBelow(n));
-        req.target = static_cast<graph::VertexId>(pick.nextBelow(n));
-        const Response a = engine.executeOn(req, overlay);
-        const Response b = engine.executeOn(req, folded);
-        ASSERT_EQ(a.status, Status::kOk);
-        ASSERT_EQ(b.status, Status::kOk);
-        EXPECT_EQ(a.values, b.values) << "query " << i;
+        EXPECT_EQ(store.compact(), folded_epoch + 1);
+        const std::shared_ptr<const Snapshot> fence = store.snapshot();
+        ASSERT_EQ(fence->epoch(), folded_epoch + 1);
+        EXPECT_EQ(&fence->materialized(), &folded->materialized());
+        EXPECT_EQ(&fence->perm(), &folded->perm());
+
+        Rng pick(17);
+        for (int i = 0; i < 12; ++i) {
+            Request req;
+            req.op = (i % 3 == 0)   ? Op::kSsspDist
+                     : (i % 3 == 1) ? Op::kBfsDist
+                                    : Op::kComponent;
+            req.source = static_cast<graph::VertexId>(pick.nextBelow(n));
+            req.target = static_cast<graph::VertexId>(pick.nextBelow(n));
+            const Response a = engine.executeOn(req, merged);
+            ASSERT_EQ(a.status, Status::kOk);
+            for (const auto& snap : {folded, fence}) {
+                const Response b = engine.executeOn(req, snap);
+                ASSERT_EQ(b.status, Status::kOk);
+                EXPECT_EQ(a.values, b.values)
+                    << "query " << i << " epoch " << snap->epoch();
+            }
+        }
+
+        // Top-k answers must also match: canonical external-id
+        // ordering makes them independent of the internal renumbering.
+        Request topk;
+        topk.op = Op::kTopDegree;
+        topk.k = 10;
+        const Response ta = engine.executeOn(topk, merged);
+        for (const auto& snap : {folded, fence}) {
+            const Response tb = engine.executeOn(topk, snap);
+            EXPECT_EQ(ta.values, tb.values);
+            EXPECT_EQ(ta.vertices, tb.vertices);
+        }
     }
-
-    // Top-k answers must also match: canonical external-id ordering
-    // makes them independent of the internal renumbering.
-    Request topk;
-    topk.op = Op::kTopDegree;
-    topk.k = 10;
-    const Response ta = engine.executeOn(topk, overlay);
-    const Response tb = engine.executeOn(topk, folded);
-    EXPECT_EQ(ta.values, tb.values);
-    EXPECT_EQ(ta.vertices, tb.vertices);
 }
 
 TEST(ServeSnapshot, ConcurrentClientsAgainstLiveIngest)
