@@ -2,7 +2,7 @@
  * @file
  * Ordering x kernel speedup table for the reordering subsystem
  * (graph/reorder.h): every Reordering is applied (with the blocked
- * layout attached, so the bin-major pull/gather paths run) to a road
+ * layout attached, so the bin-major pull paths run) to a road
  * network and a power-law social network, each kernel is timed
  * natively, and the table reports per-ordering speedup over kNone.
  * The acceptance bar recorded in EXPERIMENTS.md: the best ordering

@@ -41,10 +41,9 @@ constexpr std::string_view kRawIncludes[] = {
 /** rt::par primitives and rt::bnb policy entry points whose lambda
  *  arguments must honor the Ctx write contract. */
 constexpr std::string_view kParPrimitives[] = {
-    "vertexMap",       "vertexMapStriped", "vertexMapGuided",
-    "vertexMapCapture", "edgeMapPush",     "edgeMapPull",
-    "edgeMapPullAll",  "edgeMapPullAllGuided",
-    "edgeMapGatherBlocked", "reduce",      "reducePerThread",
+    "vertexMap",       "vertexMapStriped", "vertexMapCapture",
+    "edgeMapPush",     "edgeMapPull",      "edgeMapPullAll",
+    "reduce",          "reducePerThread",
     // rt::bnb policy protocol: expand/forEachRoot receive an Emit
     // lambda from the searcher's per-thread DFS loop.
     "expand",          "forEachRoot",

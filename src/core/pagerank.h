@@ -17,13 +17,17 @@
  *    update phase is statically divided. The capture counter's cache
  *    line ping-pongs between all threads — the fine-grain
  *    communication the paper attributes PageRank's weak scaling to.
- *  - kGather (pull): each iteration freezes every vertex's share
- *    PR(v)/degree(v), then every destination gathers the sum over its
- *    own neighbors (par::edgeMapPullAllGuided — guided scheduling
- *    absorbs the degree skew) and applies Equation 1 in place. No
- *    accumulator locks, no write contention at all: the gather's only
- *    writes are owner-exclusive, and the result is deterministic
- *    (fixed CSR summation order) where scatter's lock-ordered
+ *  - kGather (pull, GAP's reference shape): every thread owns a
+ *    static destination range balanced by edge count
+ *    (par::degreeBalancedRange). Each iteration is one pass: every
+ *    owned vertex sums its neighbors' shares PR(u)/degree(u) in CSR
+ *    order into a register, applies Equation 1, and publishes its own
+ *    next share into a second buffer (shares are double-buffered, so
+ *    the pass reads only values frozen by the previous barrier). No
+ *    accumulator locks, no shared cursor, no write contention: every
+ *    write is owner-exclusive, and the result is deterministic —
+ *    bit-identical at any thread count, with or without a blocked
+ *    layout (which this mode ignores) — where scatter's lock-ordered
  *    floating-point adds are not.
  *
  * Iterations are separated by barriers in both modes.
@@ -32,6 +36,8 @@
 #ifndef CRONO_CORE_PAGERANK_H_
 #define CRONO_CORE_PAGERANK_H_
 
+#include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "core/context.h"
@@ -66,23 +72,32 @@ struct PageRankResult {
 template <class Ctx>
 struct PageRankState {
     PageRankState(const graph::Graph& graph, unsigned iterations_in,
-                  double damping, rt::ActiveTracker* tracker_in)
+                  double damping, PageRankMode mode,
+                  rt::ActiveTracker* tracker_in)
         : g(graph), rank(graph.numVertices(), 0.0),
           incoming(graph.numVertices(), 0.0),
-          locks(graph.numVertices()), iterations(iterations_in),
-          r(damping), tracker(tracker_in)
+          next_share(mode == PageRankMode::kGather ? graph.numVertices()
+                                                   : 0,
+                     0.0),
+          iterations(iterations_in), r(damping), tracker(tracker_in)
     {
         CRONO_REQUIRE(damping > 0.0 && damping < 1.0,
                       "damping must be in (0, 1)");
+        if (mode == PageRankMode::kScatter) {
+            locks.emplace(graph.numVertices());
+        }
     }
 
     const graph::Graph& g;
     AlignedVector<double> rank;
-    /** Scatter accumulators; the frozen shares in kGather. */
+    /** Scatter accumulators; in kGather, the current shares. */
     AlignedVector<double> incoming;
-    /** Per-iteration capture/guided cursors, indexed by parity. */
+    /** kGather only: the shares being published for the next pass. */
+    AlignedVector<double> next_share;
+    /** Scatter's per-iteration capture cursors, indexed by parity. */
     rt::CaptureCounter cursor[2];
-    LockStripe<Ctx> locks;
+    /** Scatter's accumulator locks (absent in kGather). */
+    std::optional<LockStripe<Ctx>> locks;
     unsigned iterations;
     double r;
     rt::ActiveTracker* tracker;
@@ -125,7 +140,7 @@ pageRankKernel(Ctx& ctx, PageRankState<Ctx>& s)
                 ctx.work(2);
                 for (graph::EdgeId e = beg; e < end; ++e) {
                     const graph::VertexId u = ctx.read(csr.neighbors[e]);
-                    ScopedLock<Ctx> guard(ctx, s.locks.of(u));
+                    ScopedLock<Ctx> guard(ctx, s.locks->of(u));
                     ctx.write(s.incoming[u],
                               ctx.read(s.incoming[u]) + share);
                 }
@@ -168,8 +183,8 @@ pageRankKernel(Ctx& ctx, PageRankState<Ctx>& s)
 }
 
 /**
- * Gather-mode kernel body: freeze shares, then pull them in. Uses
- * `incoming` as the frozen-share array; no locks anywhere.
+ * Gather-mode kernel body: one edge-balanced pull pass and one
+ * barrier per iteration over double-buffered shares; no locks.
  */
 template <class Ctx>
 void
@@ -177,83 +192,52 @@ pageRankGatherKernel(Ctx& ctx, PageRankState<Ctx>& s)
 {
     const rt::par::Csr csr = rt::par::csrOf(s.g);
     const graph::VertexId n = s.g.numVertices();
+    const rt::Range own = rt::par::degreeBalancedRange(ctx, csr);
+    const auto owned = static_cast<std::int64_t>(own.end - own.begin);
 
     const double uniform = 1.0 / static_cast<double>(n);
-    rt::par::vertexMap(ctx, n, [&](std::uint64_t v) {
+    const double teleport = s.r * uniform;
+    const double follow = 1.0 - s.r;
+    double* cur = s.incoming.data();
+    double* next = s.next_share.data();
+
+    // A vertex's share PR(v)/degree(v); isolated pages contribute 0.
+    const auto share = [](double rank, graph::EdgeId degree) {
+        return degree == 0 ? 0.0 : rank / static_cast<double>(degree);
+    };
+    for (std::uint64_t v = own.begin; v < own.end; ++v) {
+        const graph::EdgeId beg = ctx.read(csr.offsets[v]);
+        const graph::EdgeId end = ctx.read(csr.offsets[v + 1]);
         ctx.write(s.rank[v], uniform);
-        ctx.write(s.incoming[v], 0.0);
-    });
+        ctx.write(cur[v], share(uniform, end - beg));
+        ctx.work(2);
+    }
     ctx.barrier();
 
     obs::Track* const track =
         obs::trackFor(obs::sink(), obs::ctxTrackKind<Ctx>, ctx.tid());
 
     for (unsigned it = 0; it < s.iterations; ++it) {
-        // Share phase: freeze PR(v)/degree(v) for this iteration.
-        const std::uint64_t share_begin =
-            track != nullptr ? ctx.timestamp() : 0;
-        rt::par::vertexMap(ctx, n, [&](std::uint64_t v) {
-            const graph::EdgeId beg = ctx.read(csr.offsets[v]);
-            const graph::EdgeId end = ctx.read(csr.offsets[v + 1]);
-            const double share =
-                beg == end ? 0.0
-                           : ctx.read(s.rank[v]) /
-                                 static_cast<double>(end - beg);
-            ctx.write(s.incoming[v], share);
-            ctx.work(2);
-            trackAdd(s.tracker, 1);
-        });
-        if (track != nullptr) {
-            obs::spanRecord(track, {share_begin, ctx.timestamp(),
-                                    "share", it, obs::SpanCat::kRound});
-        }
-        ctx.barrier();
-
-        // Gather phase: every destination sums its neighbors' frozen
-        // shares and applies Equation 1 in place — owner-exclusive
-        // writes, deterministic CSR summation order. Guided
-        // scheduling absorbs degree skew; thread 0 rearms the next
-        // iteration's cursor behind the barrier.
+        // Every owned destination sums its neighbors' current shares
+        // in CSR order, applies Equation 1, and publishes its next
+        // share. The only mutable data the pass reads is `cur`, and it
+        // writes only owned slots of `rank` and `next`, so one
+        // barrier orders it.
         const std::uint64_t gather_begin =
             track != nullptr ? ctx.timestamp() : 0;
-        if (csr.blocked != nullptr) {
-            // Propagation-blocking path: rank doubles as the
-            // accumulator (this iteration's shares are already frozen
-            // in `incoming`), summed bin-major so the share-array read
-            // window stays cache-sized. Owner-exclusive throughout.
-            rt::par::edgeMapGatherBlocked(
-                ctx, csr,
-                [&](graph::VertexId v) { ctx.write(s.rank[v], 0.0); },
-                [&](graph::VertexId v, graph::VertexId u,
-                    graph::EdgeId) {
-                    ctx.write(s.rank[v], ctx.read(s.rank[v]) +
-                                             ctx.read(s.incoming[u]));
-                },
-                [&](graph::VertexId v) {
-                    ctx.write(s.rank[v],
-                              s.r * uniform +
-                                  (1.0 - s.r) * ctx.read(s.rank[v]));
-                    ctx.work(3);
-                    trackAdd(s.tracker, -1);
-                });
-        } else {
+        trackAdd(s.tracker, owned);
+        for (std::uint64_t v = own.begin; v < own.end; ++v) {
+            const graph::EdgeId beg = ctx.read(csr.offsets[v]);
+            const graph::EdgeId end = ctx.read(csr.offsets[v + 1]);
             double acc = 0.0;
-            rt::par::edgeMapPullAllGuided(
-                ctx, csr, s.cursor[it % 2],
-                [&](graph::VertexId) {
-                    acc = 0.0;
-                    return true;
-                },
-                [&](graph::VertexId, graph::VertexId u, graph::EdgeId) {
-                    acc += ctx.read(s.incoming[u]);
-                    return false; // full-neighborhood sum
-                },
-                [&](graph::VertexId v) {
-                    ctx.write(s.rank[v],
-                              s.r * uniform + (1.0 - s.r) * acc);
-                    ctx.work(3);
-                    trackAdd(s.tracker, -1);
-                });
+            for (graph::EdgeId e = beg; e < end; ++e) {
+                acc += ctx.read(cur[ctx.read(csr.neighbors[e])]);
+            }
+            const double rank = teleport + follow * acc;
+            ctx.write(s.rank[v], rank);
+            ctx.write(next[v], share(rank, end - beg));
+            ctx.work(end - beg + 5);
+            trackAdd(s.tracker, -1);
         }
         if (track != nullptr) {
             obs::spanRecord(
@@ -263,9 +247,7 @@ pageRankGatherKernel(Ctx& ctx, PageRankState<Ctx>& s)
                 obs::counterBump(track, obs::Counter::kIterations, 1);
             }
         }
-        if (ctx.tid() == 0) {
-            ctx.write(s.cursor[(it + 1) % 2].next, std::uint64_t{0});
-        }
+        std::swap(cur, next);
         ctx.barrier();
     }
 }
@@ -275,7 +257,7 @@ pageRankGatherKernel(Ctx& ctx, PageRankState<Ctx>& s)
  *
  * @param damping the paper's r (random-visit probability), default 0.15
  * @param mode    kScatter (default) is the paper's structure; kGather
- *                pulls frozen shares destination-side (lock-free,
+ *                pulls neighbor shares destination-side (lock-free,
  *                deterministic)
  */
 template <class Exec>
@@ -287,7 +269,7 @@ pageRank(Exec& exec, int nthreads, const graph::Graph& g,
 {
     using Ctx = typename Exec::Ctx;
     obs::ScopedHostSpan kernel_span("PAGE_RANK", g.numVertices());
-    PageRankState<Ctx> state(g, iterations, damping, tracker);
+    PageRankState<Ctx> state(g, iterations, damping, mode, tracker);
     rt::RunInfo info = exec.parallel(nthreads, [&](Ctx& ctx) {
         if (mode == PageRankMode::kGather) {
             pageRankGatherKernel(ctx, state);

@@ -12,8 +12,8 @@
  *
  *  - vertexMap / vertexMapStriped: graph division (static block /
  *    cyclic stripe) — pure index arithmetic, no shared traffic.
- *  - vertexMapGuided: guided self-scheduling — threads claim shrinking
- *    chunks from a shared cursor (one RMW per chunk, not per item).
+ *  - degreeBalancedRange: static graph division balanced by edge
+ *    count (blocked pull, gather PageRank).
  *  - vertexMapCapture: the paper's vertex-capture idiom — one RMW per
  *    item on a shared cursor whose cache line deliberately ping-pongs.
  *  - edgeMapPush / edgeMapPull / edgeMapPullAll: frontier traversal in
@@ -75,8 +75,7 @@ struct Csr {
     /**
      * Cache-blocked pull layout attached to the graph, or nullptr.
      * When present, edgeMapPull / edgeMapPullAll iterate it bin-major
-     * — see their contract notes — and gather kernels can use
-     * edgeMapGatherBlocked.
+     * — see their contract notes.
      */
     const graph::BlockedCsr* blocked = nullptr;
 };
@@ -118,47 +117,42 @@ vertexMapStriped(Ctx& ctx, std::uint64_t total, Fn&& fn)
                     [&](std::uint64_t i) { fn(i); });
 }
 
-/** Smallest chunk the guided scheduler will claim. */
-inline constexpr std::uint64_t kGuidedMinChunk = 16;
-
 /**
- * Guided self-scheduling over [0, total): threads claim chunks of
- * remaining/(2*nthreads) items (never below kGuidedMinChunk) from a
- * shared cursor. One RMW per chunk amortizes the cursor ping-pong
- * that per-item capture pays, while late small chunks absorb the load
- * imbalance static blocks suffer on power-law degree distributions.
- * The cursor must be zeroed (host-side or by a pre-barrier thread)
- * before each sweep.
+ * This thread's contiguous destination-id range, balanced by edge
+ * count rather than vertex count: reordered graphs pack the hubs into
+ * the lowest ids, where a vertex-count split would hand one thread
+ * most of the edges. Blocked pull iteration and gather PageRank own
+ * their destinations through it. Pure scheduling arithmetic over the
+ * immutable offsets array (like blockPartition, not modeled traffic);
+ * deterministic, so ownership is stable for the whole invocation.
  */
-template <class Ctx, class Fn>
-void
-vertexMapGuided(Ctx& ctx, CaptureCounter& cursor, std::uint64_t total,
-                Fn&& fn)
+template <class Ctx>
+Range
+degreeBalancedRange(Ctx& ctx, const Csr& g)
 {
+    const auto tid = static_cast<std::uint64_t>(ctx.tid());
     const auto nthreads = static_cast<std::uint64_t>(ctx.nthreads());
-    for (;;) {
-        // Declared-racy probe: a size estimate unordered with the
-        // other threads' capture RMWs. A stale-low `seen` only makes
-        // this chunk a little larger than ideal; the fetchAdd below
-        // is what actually claims work.
-        const std::uint64_t seen = ctx.readAtomic(cursor.next);
-        if (seen >= total) {
-            break;
-        }
-        std::uint64_t chunk = (total - seen) / (2 * nthreads);
-        if (chunk < kGuidedMinChunk) {
-            chunk = kGuidedMinChunk;
-        }
-        const std::uint64_t begin = ctx.fetchAdd(cursor.next, chunk);
-        if (begin >= total) {
-            break;
-        }
-        const std::uint64_t end =
-            begin + chunk < total ? begin + chunk : total;
-        for (std::uint64_t i = begin; i < end; ++i) {
-            fn(i);
-        }
+    const graph::EdgeId* const first = g.offsets;
+    const graph::EdgeId* const last = g.offsets + g.num_vertices + 1;
+    const auto cut = [&](std::uint64_t t) -> std::uint64_t {
+        const graph::EdgeId target = g.num_edges * t / nthreads;
+        return static_cast<std::uint64_t>(
+            std::lower_bound(first, last, target) - first);
+    };
+    // The last cut must be num_vertices, not lower_bound(num_edges):
+    // the latter stops at the FIRST offset equal to num_edges, which
+    // would orphan a zero-degree tail (exactly what degree orderings
+    // produce) from every thread.
+    Range r{cut(tid), tid + 1 == nthreads
+                          ? static_cast<std::uint64_t>(g.num_vertices)
+                          : cut(tid + 1)};
+    if (r.end > g.num_vertices) {
+        r.end = g.num_vertices;
     }
+    if (r.begin > r.end) {
+        r.begin = r.end;
+    }
+    return r;
 }
 
 /**
@@ -248,43 +242,6 @@ pullVertex(Ctx& ctx, const Csr& g, graph::VertexId v, Member&& member,
 }
 
 /**
- * This thread's destination-id range for blocked iteration, balanced
- * by edge count rather than vertex count: reordered graphs pack the
- * hubs into the lowest ids, where a vertex-count split would hand one
- * thread most of the edges. Pure scheduling arithmetic over the
- * immutable offsets array (like blockPartition, not modeled traffic);
- * deterministic, so ownership is stable for the whole invocation.
- */
-template <class Ctx>
-Range
-degreeBalancedRange(Ctx& ctx, const Csr& g)
-{
-    const auto tid = static_cast<std::uint64_t>(ctx.tid());
-    const auto nthreads = static_cast<std::uint64_t>(ctx.nthreads());
-    const graph::EdgeId* const first = g.offsets;
-    const graph::EdgeId* const last = g.offsets + g.num_vertices + 1;
-    const auto cut = [&](std::uint64_t t) -> std::uint64_t {
-        const graph::EdgeId target = g.num_edges * t / nthreads;
-        return static_cast<std::uint64_t>(
-            std::lower_bound(first, last, target) - first);
-    };
-    // The last cut must be num_vertices, not lower_bound(num_edges):
-    // the latter stops at the FIRST offset equal to num_edges, which
-    // would orphan a zero-degree tail (exactly what degree orderings
-    // produce) from every thread's pre/zero/finish phases.
-    Range r{cut(tid), tid + 1 == nthreads
-                          ? static_cast<std::uint64_t>(g.num_vertices)
-                          : cut(tid + 1)};
-    if (r.end > g.num_vertices) {
-        r.end = g.num_vertices;
-    }
-    if (r.begin > r.end) {
-        r.begin = r.end;
-    }
-    return r;
-}
-
-/**
  * Bin-major traversal of the blocked layout: for every bin, this
  * thread runs pre / edge / post over the bin's destinations inside
  * its own id range. Destination ownership (degreeBalancedRange) is
@@ -354,9 +311,8 @@ pullBlocked(Ctx& ctx, const Csr& g, Member&& member, Pre&& pre,
  * post stays owner-exclusive, but the per-vertex fold MUST be
  * incremental: pre re-reads current state, post folds a partial
  * result into it (BFS's set-once claim and CC's monotone min both
- * qualify; an overwrite like "result = partial sum" does not — use
- * edgeMapGatherBlocked for those). `e` then indexes the blocked
- * layout's arrays, not the graph's.
+ * qualify; an overwrite like "result = partial sum" does not). `e`
+ * then indexes the blocked layout's arrays, not the graph's.
  */
 template <class Ctx, class Pre, class Edge, class Post>
 void
@@ -392,9 +348,9 @@ edgeMapPull(Ctx& ctx, const Csr& g, FrontierEngine& engine,
  * Frontier-less dense gather over this thread's static block: every
  * vertex passing @p pre scans all neighbors (no membership probe, no
  * early exit unless @p edge returns true). This is the paper's
- * pull-style full-rescan structure (connected components) and the
- * gather half of pull PageRank. The blocked per-(bin, vertex)
- * contract of edgeMapPull applies here too when g.blocked is set.
+ * pull-style full-rescan structure (connected components). The
+ * blocked per-(bin, vertex) contract of edgeMapPull applies here too
+ * when g.blocked is set.
  */
 template <class Ctx, class Pre, class Edge, class Post>
 void
@@ -411,82 +367,6 @@ edgeMapPullAll(Ctx& ctx, const Csr& g, Pre&& pre, Edge&& edge,
     for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
         detail::pullVertex(ctx, g, static_cast<graph::VertexId>(vi), all,
                            pre, edge, post);
-    }
-}
-
-/**
- * Guided-scheduling variant of edgeMapPullAll, for gathers whose
- * per-vertex cost is degree-skewed (pull PageRank on power-law
- * inputs). Deterministic despite the dynamic assignment: each vertex
- * is processed by exactly one thread and its gather reads only values
- * frozen for the phase.
- *
- * Deliberately ignores g.blocked: guided assignment can hand the same
- * vertex's bins to different threads, which would break the blocked
- * owner-exclusivity contract. Callers with a non-incremental fold use
- * edgeMapGatherBlocked on blocked graphs instead.
- */
-template <class Ctx, class Pre, class Edge, class Post>
-void
-edgeMapPullAllGuided(Ctx& ctx, const Csr& g, CaptureCounter& cursor,
-                     Pre&& pre, Edge&& edge, Post&& post)
-{
-    vertexMapGuided(ctx, cursor, g.num_vertices, [&](std::uint64_t vi) {
-        detail::pullVertex(ctx, g, static_cast<graph::VertexId>(vi),
-                           [](graph::VertexId) { return true; }, pre,
-                           edge, post);
-    });
-}
-
-/**
- * Propagation-blocking gather over a blocked layout (g.blocked must
- * be set): @p zero(v) resets each owned destination's accumulator,
- * @p accum(v, u, e) folds one in-edge bin-major — so the per-source
- * read window stays inside one bin's cache footprint — and
- * @p finish(v) turns the accumulated value into the result. This is
- * the non-incremental-fold counterpart of the blocked edgeMapPull
- * contract (PageRank's gather: zero rank, sum frozen shares, apply
- * Equation 1).
- *
- * All three phases use the same degree-balanced static destination
- * partition, so every write is owner-exclusive and no barriers are
- * needed between phases. Charges ctx.work(1) per folded edge; `e`
- * indexes the layout's arrays.
- */
-template <class Ctx, class Zero, class Accum, class Finish>
-void
-edgeMapGatherBlocked(Ctx& ctx, const Csr& g, Zero&& zero, Accum&& accum,
-                     Finish&& finish)
-{
-    CRONO_ASSERT(g.blocked != nullptr,
-                 "edgeMapGatherBlocked needs a blocked layout");
-    const Range range = detail::degreeBalancedRange(ctx, g);
-    for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
-        zero(static_cast<graph::VertexId>(vi));
-    }
-    const graph::BlockedCsr& layout = *g.blocked;
-    const graph::VertexId* const nbrs = layout.neighbors().data();
-    for (int b = 0; b < layout.numBins(); ++b) {
-        const graph::BlockedCsr::Bin& bin = layout.bin(b);
-        const auto lo = std::lower_bound(
-            bin.dsts.begin(), bin.dsts.end(),
-            static_cast<graph::VertexId>(range.begin));
-        const auto hi = std::lower_bound(
-            lo, bin.dsts.end(), static_cast<graph::VertexId>(range.end));
-        for (auto it = lo; it != hi; ++it) {
-            const graph::VertexId v = ctx.read(*it);
-            const auto di =
-                static_cast<std::size_t>(it - bin.dsts.begin());
-            const graph::EdgeId beg = ctx.read(bin.offsets[di]);
-            const graph::EdgeId end = ctx.read(bin.offsets[di + 1]);
-            for (graph::EdgeId e = beg; e < end; ++e) {
-                ctx.work(1);
-                accum(v, ctx.read(nbrs[e]), e);
-            }
-        }
-    }
-    for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
-        finish(static_cast<graph::VertexId>(vi));
     }
 }
 

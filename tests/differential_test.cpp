@@ -3,7 +3,7 @@
  * Randomized differential harness for the reordering subsystem
  * (ISSUE 5): for a sweep of seeds, generate road / uniform / social
  * graphs, relabel them under every Reordering (blocked layout
- * attached, so the bin-major pull and gather paths execute), run all
+ * attached, so the bin-major pull paths execute), run all
  * ten kernels under their FrontierMode / PageRankMode sweeps, and
  * check the results are permutation-invariant against the
  * core::sequential oracles computed on the ORIGINAL graph:
@@ -308,8 +308,9 @@ checkPageRank(Exec& exec, int threads, const graph::Graph& g,
                                         0.15, nullptr, mode);
         const auto rank = rg.perm.valuesToOld(asSpan(res.rank));
         for (VertexId v = 0; v < g.numVertices(); ++v) {
-            // Relabeling (and the bin-major blocked gather) permute
-            // the FP summation order; exact equality is not defined.
+            // Relabeling permutes the FP summation order, so exact
+            // equality is not defined. (The gather ignores the
+            // blocked layout and sums each row in CSR order.)
             ASSERT_NEAR(rank[v], oracle[v], 1e-9) << "v " << v;
         }
     }

@@ -8,14 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/community.h"
-#include "graph/builder.h"
 #include "core/connected_components.h"
 #include "core/pagerank.h"
 #include "core/sequential.h"
 #include "core/triangle_count.h"
+#include "graph/builder.h"
+#include "graph/reorder.h"
 #include "tests/kernel_test_util.h"
 
 namespace crono {
@@ -137,14 +142,19 @@ TEST(TriCnt, SimulatorMatchesBruteForce)
     EXPECT_EQ(result.total, 100u);
 }
 
-class PageRankParamTest : public ::testing::TestWithParam<GraphThreads> {};
+/** (graph name, thread count, PageRank phase structure) parameter. */
+using GraphThreadsMode = std::tuple<std::string, int, core::PageRankMode>;
+
+class PageRankParamTest
+    : public ::testing::TestWithParam<GraphThreadsMode> {};
 
 TEST_P(PageRankParamTest, MatchesSequentialIteration)
 {
-    const auto [name, threads] = GetParam();
+    const auto [name, threads, mode] = GetParam();
     const graph::Graph g = test::makeGraph(name);
     rt::NativeExecutor exec(threads);
-    const auto result = core::pageRank(exec, threads, g, 8, 0.15);
+    const auto result =
+        core::pageRank(exec, threads, g, 8, 0.15, nullptr, mode);
     const auto expect = core::seq::pageRank(g, 8, 0.15);
     for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
         ASSERT_NEAR(result.rank[v], expect[v], 1e-9) << name << " " << v;
@@ -156,8 +166,117 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("path", "ring", "star", "grid",
                                          "complete", "sparse", "road",
                                          "social"),
-                       ::testing::Values(1, 2, 4, 8)),
-    test::graphThreadsName);
+                       ::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(core::PageRankMode::kScatter,
+                                         core::PageRankMode::kGather)),
+    [](const ::testing::TestParamInfo<GraphThreadsMode>& info) {
+        return std::get<0>(info.param) + "_t" +
+               std::to_string(std::get<1>(info.param)) + "_" +
+               core::pageRankModeName(std::get<2>(info.param));
+    });
+
+/**
+ * Pull PageRank in CSR order: each row's shares summed left to right
+ * from 0.0, then Equation 1 — the summation order the gather kernel
+ * promises, so its result must match bit for bit.
+ */
+std::vector<double>
+pullPageRankInCsrOrder(const graph::Graph& g, unsigned iterations,
+                       double damping)
+{
+    const graph::VertexId n = g.numVertices();
+    const double uniform = 1.0 / static_cast<double>(n);
+    std::vector<double> rank(n, uniform);
+    std::vector<double> share(n, 0.0);
+    for (unsigned it = 0; it < iterations; ++it) {
+        for (graph::VertexId v = 0; v < n; ++v) {
+            const auto deg = g.degree(v);
+            share[v] = deg == 0 ? 0.0 : rank[v] / static_cast<double>(deg);
+        }
+        for (graph::VertexId v = 0; v < n; ++v) {
+            double acc = 0.0;
+            for (graph::VertexId u : g.neighbors(v)) {
+                acc += share[u];
+            }
+            rank[v] = damping * uniform + (1.0 - damping) * acc;
+        }
+    }
+    return rank;
+}
+
+bool
+sameBits(const AlignedVector<double>& got, const std::vector<double>& want)
+{
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       want.size() * sizeof(double)) == 0;
+}
+
+/**
+ * Gather inputs: "social", "road", and a graph whose isolated
+ * vertices 6..9 a degree sort moves into a zero-degree tail at the
+ * highest ids (with 8 threads on its 10 vertices some threads own
+ * nothing). Each is degree-sorted, with and without the blocked
+ * layout; both layouts share one CSR.
+ */
+std::vector<std::pair<std::string, graph::ReorderedGraph>>
+gatherInputs()
+{
+    graph::GraphBuilder tiny(10, true);
+    for (graph::VertexId v = 1; v < 6; ++v) {
+        tiny.addEdge(0, v, 1);
+    }
+    tiny.addEdge(1, 2, 1);
+    std::vector<std::pair<std::string, graph::Graph>> raw;
+    raw.emplace_back("social", test::makeGraph("social"));
+    raw.emplace_back("road", test::makeGraph("road"));
+    raw.emplace_back("isolated-tail", std::move(tiny).build());
+    std::vector<std::pair<std::string, graph::ReorderedGraph>> out;
+    for (const auto& [name, g] : raw) {
+        for (const bool blocked : {false, true}) {
+            out.emplace_back(
+                name + (blocked ? " blocked" : " plain"),
+                graph::reorderGraph(g, graph::Reordering::kDegreeSort,
+                                    blocked));
+            EXPECT_EQ(out.back().second.graph.blockedLayout() != nullptr,
+                      blocked);
+        }
+    }
+    return out;
+}
+
+constexpr unsigned kGatherIters = 6;
+
+TEST(PageRank, GatherBitIdenticalAcrossThreadsAndLayouts)
+{
+    for (const auto& [name, rg] : gatherInputs()) {
+        SCOPED_TRACE(name);
+        const std::vector<double> want =
+            pullPageRankInCsrOrder(rg.graph, kGatherIters, 0.15);
+        for (const int threads : {1, 2, 3, 4, 8}) {
+            rt::NativeExecutor exec(threads);
+            const auto got =
+                core::pageRank(exec, threads, rg.graph, kGatherIters, 0.15,
+                               nullptr, core::PageRankMode::kGather);
+            EXPECT_TRUE(sameBits(got.rank, want)) << threads << " threads";
+        }
+    }
+}
+
+// Kept apart from the native sweep: the TSan run skips *Sim* tests
+// (it cannot follow fiber switches) but still runs the native one.
+TEST(PageRank, SimulatorGatherBitIdenticalAcrossLayouts)
+{
+    for (const auto& [name, rg] : gatherInputs()) {
+        SCOPED_TRACE(name);
+        sim::Machine machine(test::smallSimConfig());
+        const auto got =
+            core::pageRank(machine, 8, rg.graph, kGatherIters, 0.15,
+                           nullptr, core::PageRankMode::kGather);
+        EXPECT_TRUE(sameBits(
+            got.rank, pullPageRankInCsrOrder(rg.graph, kGatherIters, 0.15)));
+    }
+}
 
 TEST(PageRank, ProbabilityConservedOnDegreeRegularGraphs)
 {

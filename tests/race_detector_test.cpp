@@ -128,7 +128,7 @@ TEST(RaceDetectorSweep, AllKernelsAllModesHaveNoUnsuppressedRaces)
 
 TEST(RaceDetectorSweep, ReorderedBlockedLayoutHasNoUnsuppressedRaces)
 {
-    // The blocked bin-major pull/gather paths change which thread
+    // The blocked bin-major pull paths change which thread
     // touches which (vertex, edge) pair; one full kernel sweep on a
     // degree-sorted social graph with the blocked layout attached
     // proves the new iteration order kept the ownership discipline.
