@@ -272,6 +272,7 @@ analyzeSources(const std::vector<SourceFile>& files,
         passCtxDiscipline(u, &raw);
         passCaptureEscape(u, &raw);
         passBarrierDivergence(u, &raw);
+        passReadPoll(u, &raw);
         passIncludeLayering(u, &raw);
 
         FileAllows fa = parseAllows(u);

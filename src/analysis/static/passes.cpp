@@ -1,6 +1,7 @@
 #include "analysis/static/passes.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -108,6 +109,12 @@ ruleCatalog()
          "a barrier reached under divergent control flow (if/else/"
          "switch, or a conditional return that skips a later barrier) "
          "deadlocks the region",
+         "everywhere"},
+        {"read-poll", Severity::kError,
+         "ctx.read( in a while/for/do condition, of an address the loop "
+         "does not advance: natively read() is a plain load the "
+         "compiler may hoist out of the loop, so the poll can spin "
+         "forever — poll with ctx.readAtomic",
          "everywhere"},
         {"include-layering", Severity::kError,
          "#include against the layer DAG common → obs → sim → runtime "
@@ -990,6 +997,165 @@ passBarrierDivergence(const FileUnit& u, std::vector<Finding>* out)
                        "never arrives at the rendezvous",
                        out);
                 break;
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------- read poll
+
+namespace {
+
+/** True iff code token @p i is the `read` of a `ctx.read(` or
+ *  `ctx->read(` call (explicit template arguments included). */
+bool
+isCtxReadCall(const Ast& ast, CodeIdx i)
+{
+    if (!isIdent(ast.tok(i), "read") || i < 2 || i + 1 >= ast.size()) {
+        return false;
+    }
+    const Token& op = ast.tok(i - 1);
+    const Token& next = ast.tok(i + 1);
+    return (isPunct(op, ".") || isPunct(op, "->")) &&
+           isIdent(ast.tok(i - 2), "ctx") &&
+           (isPunct(next, "(") || isPunct(next, "<"));
+}
+
+/** End (exclusive) of the statement starting at @p begin: its
+ *  matching '}' when braced, else the first depth-0 ';'. */
+CodeIdx
+statementEnd(const Ast& ast, CodeIdx begin)
+{
+    if (begin >= ast.size()) {
+        return ast.size();
+    }
+    if (isPunct(ast.tok(begin), "{")) {
+        const CodeIdx m = ast.match[begin];
+        return m == kNoIdx ? ast.size() : m + 1;
+    }
+    for (CodeIdx j = begin; j < ast.size(); ++j) {
+        const CodeIdx m = ast.match[j];
+        if (m != kNoIdx && m > j) {
+            j = m;
+        } else if (isPunct(ast.tok(j), ";")) {
+            return j + 1;
+        }
+    }
+    return ast.size();
+}
+
+bool
+isMutatingOp(const Token& t)
+{
+    constexpr std::string_view kOps[] = {
+        "=",  "+=", "-=", "*=", "/=",  "%=",  "&=",
+        "|=", "^=", "<<=", ">>=", "++", "--"};
+    return t.kind == Tok::kPunct &&
+           std::find(std::begin(kOps), std::end(kOps), t.text) !=
+               std::end(kOps);
+}
+
+/** True iff an identifier of the read call at @p call (its argument
+ *  list) is assigned, incremented or decremented in [from, to): the
+ *  loop moves the address, so the read is a scan, not a poll. */
+bool
+readAddressAdvances(const Ast& ast, CodeIdx call, CodeIdx from,
+                    CodeIdx to)
+{
+    CodeIdx open = call + 1;
+    if (isPunct(ast.tok(open), "<")) { // skip explicit template args
+        while (open < ast.size() && !isPunct(ast.tok(open), "(")) {
+            ++open;
+        }
+    }
+    const CodeIdx close =
+        open < ast.size() ? ast.match[open] : kNoIdx;
+    if (close == kNoIdx) {
+        return false;
+    }
+    std::set<std::string> names;
+    for (CodeIdx j = open + 1; j < close; ++j) {
+        if (ast.tok(j).kind == Tok::kIdent) {
+            names.insert(ast.tok(j).text);
+        }
+    }
+    for (CodeIdx j = from; j < to && j < ast.size(); ++j) {
+        const Token& t = ast.tok(j);
+        if (t.kind != Tok::kIdent || names.count(t.text) == 0) {
+            continue;
+        }
+        if ((j + 1 < ast.size() && isMutatingOp(ast.tok(j + 1))) ||
+            (j > 0 && (isPunct(ast.tok(j - 1), "++") ||
+                       isPunct(ast.tok(j - 1), "--")))) {
+            return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+void
+passReadPoll(const FileUnit& u, std::vector<Finding>* out)
+{
+    if (!ruleApplies("read-poll", u.rel)) {
+        return;
+    }
+    const Ast& ast = u.ast;
+    for (CodeIdx i = 0; i + 1 < ast.size(); ++i) {
+        const bool is_while = isIdent(ast.tok(i), "while");
+        if ((!is_while && !isIdent(ast.tok(i), "for")) ||
+            !isPunct(ast.tok(i + 1), "(")) {
+            continue;
+        }
+        const CodeIdx close = ast.match[i + 1];
+        if (close == kNoIdx) {
+            continue;
+        }
+        // The condition of `while (c)` / `do ... while (c)` is the
+        // whole parenthesis; of `for (init; c; step)` the part between
+        // the two depth-0 semicolons (a range-for has none). The loop
+        // runs the condition, the body and a for's step clause.
+        CodeIdx begin = i + 2;
+        CodeIdx end = close;
+        CodeIdx loop_from = i + 2;
+        CodeIdx loop_to = statementEnd(ast, close + 1);
+        if (is_while && i > 0 && isPunct(ast.tok(i - 1), "}")) {
+            const CodeIdx open = ast.match[i - 1];
+            if (open != kNoIdx && open > 0 &&
+                isIdent(ast.tok(open - 1), "do")) {
+                loop_from = open;
+                loop_to = close;
+            }
+        }
+        if (!is_while) {
+            std::vector<CodeIdx> semis;
+            for (CodeIdx j = i + 2; j < close; ++j) {
+                const CodeIdx m = ast.match[j];
+                if (m != kNoIdx && m > j) {
+                    j = m; // skip a nested bracket group
+                } else if (isPunct(ast.tok(j), ";")) {
+                    semis.push_back(j);
+                }
+            }
+            if (semis.size() != 2) {
+                continue;
+            }
+            begin = semis[0] + 1;
+            end = semis[1];
+            loop_from = begin;
+        }
+        for (CodeIdx j = begin; j < end; ++j) {
+            if (isCtxReadCall(ast, j) &&
+                !readAddressAdvances(ast, j, loop_from, loop_to)) {
+                report(u, ast.tok(j).line, "read-poll",
+                       "ctx.read in a loop condition, of an address "
+                       "the loop does not move — a plain load may be "
+                       "hoisted out of the loop and the poll spin "
+                       "forever; use ctx.readAtomic for a value "
+                       "another thread writes while this loop runs, "
+                       "or read it into a local before the loop",
+                       out);
             }
         }
     }

@@ -18,8 +18,8 @@
  * those rules are off there by policy rather than drowned in allow
  * comments — that policy decision is the explicit justification
  * ISSUE 9 asks for, and it is documented here and in the rule table.
- * The flow-aware rules (capture-escape, barrier-divergence) and the
- * hygiene rules apply everywhere; include-layering applies to every
+ * The flow-aware rules (capture-escape, barrier-divergence, read-poll)
+ * and the hygiene rules apply everywhere; include-layering applies to every
  * file whose layer is known. A file outside any known layer root
  * (unit-test snippets, fixtures) gets every rule, which preserves the
  * old linter's behavior for direct file invocations.
@@ -114,6 +114,10 @@ void passCaptureEscape(const FileUnit& u, std::vector<Finding>* out);
  *  barrier in the same body. */
 void passBarrierDivergence(const FileUnit& u,
                            std::vector<Finding>* out);
+
+/** `ctx.read(` in a while/for/do condition: natively a plain load,
+ *  which the compiler may hoist, so a polling loop may never exit. */
+void passReadPoll(const FileUnit& u, std::vector<Finding>* out);
 
 /** Upward or cyclic #include against the layer DAG. */
 void passIncludeLayering(const FileUnit& u, std::vector<Finding>* out);

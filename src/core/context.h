@@ -9,7 +9,7 @@
  * Required `Ctx` interface (see rt::NativeCtx and sim::SimCtx):
  *
  *   int tid();  int nthreads();
- *   T    read(const T& ref);          // shared load
+ *   T    read(const T& ref);          // shared load; must not race
  *   void write(T& ref, T value);      // shared store
  *   T    fetchAdd(T& ref, T delta);   // atomic RMW, returns old
  *   T    readAtomic(const T& ref);    // declared-racy probe load
@@ -19,13 +19,18 @@
  * monotone-filter probe before a locked re-check (SSSP/CC label
  * improvement, TSP's branch-and-bound bound), or a claim-protected
  * first-touch filter (BFS's level check before activateClaim). It is
- * modeled and costed exactly like read(); the difference is purely
- * for the concurrency-analysis layer (src/analysis): the race
- * detector orders it after atomic publishes to the same address and
- * excludes it from race checks, while a plain read() that races is
- * reported. Never use it on a value whose staleness could change the
- * result — only on probes whose misses are retried, re-checked under
- * a lock, or absorbed by a monotone fixpoint.
+ * modeled and costed exactly like read(). Natively it is the only racy
+ * load: readAtomic() is a relaxed atomic load, while read() is a plain
+ * load, so a read() that races with a write is undefined behaviour.
+ * TSan reports such a race natively, and the race detector
+ * (src/analysis) reports it in the simulator; the detector orders
+ * readAtomic() after atomic publishes to the same address and excludes
+ * it from race checks. A plain load may also be hoisted out of a loop,
+ * so a loop that polls shared state must poll it with readAtomic()
+ * (crono_analyze's read-poll rule flags ctx.read( in a loop
+ * condition). Never use readAtomic() on a value whose staleness could
+ * change the result — only on probes whose misses are retried,
+ * re-checked under a lock, or absorbed by a monotone fixpoint.
  *   void work(std::uint64_t n);       // n single-cycle compute ops
  *   using Mutex = ...;                // default-constructible
  *   void lock(Mutex&); void unlock(Mutex&);

@@ -6,8 +6,9 @@
  * The concept (see core/context.h for the full contract):
  *   - tid() / nthreads()
  *   - read(ref) / write(ref, v) / fetchAdd(ref, d): shared-memory
- *     accesses. Native: (atomic) machine accesses. Simulator: routed
- *     through the modeled memory hierarchy.
+ *     accesses. Native: read() is a plain load; write(), fetchAdd()
+ *     and the declared-racy readAtomic() are atomic. Simulator:
+ *     routed through the modeled memory hierarchy.
  *   - work(n): n units of pure compute.
  *   - Mutex, lock(), unlock(), barrier(): synchronization.
  *   - ops(): per-thread instruction-count proxy for the Variability
@@ -48,18 +49,21 @@ class NativeCtx {
     int tid() const { return tid_; }
     int nthreads() const { return nthreads_; }
 
-    /** Shared read. Atomic (relaxed) for scalar T, plain otherwise. */
+    /**
+     * Shared read: a plain load. The Ctx contract forbids a read()
+     * that races with a write (readAtomic() is the only racy load), so
+     * the load needs no atomicity, and with no atomic in a hot loop
+     * the compiler keeps ops_ in a register. A read() that does race
+     * is undefined behaviour; TSan reports it. A plain load may also
+     * be hoisted out of a loop, so never poll a flag with read()
+     * (crono_analyze's read-poll rule).
+     */
     template <class T>
     T
     read(const T& ref)
     {
         ++ops_;
-        if constexpr (atomicCapable<T>) {
-            return std::atomic_ref<const T>(ref).load(
-                std::memory_order_relaxed);
-        } else {
-            return ref;
-        }
+        return ref;
     }
 
     /** Shared write. Atomic (relaxed) for scalar T, plain otherwise. */
@@ -78,10 +82,11 @@ class NativeCtx {
     /**
      * Declared-racy atomic load: a probe the kernel *intends* to race
      * (monotone convergence filters, claim-protected re-checks, B&B
-     * bound pruning — see core/context.h for the contract). Natively
-     * identical to read(); the distinction exists for the analysis
-     * layer, whose happens-before race detector excludes these probes
-     * from race checks instead of flagging intended races.
+     * bound pruning — see core/context.h for the contract). Unlike
+     * read(), a relaxed atomic load for scalar T, because it may run
+     * concurrently with write(); the analysis layer's happens-before
+     * race detector excludes these probes from race checks instead of
+     * flagging intended races.
      */
     template <class T>
     T

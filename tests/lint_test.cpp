@@ -241,7 +241,7 @@ TEST(Parser, UnderConditionalWalk)
 TEST(Rules, CatalogIsCompleteAndKnown)
 {
     const auto& cat = ruleCatalog();
-    EXPECT_EQ(cat.size(), 10u);
+    EXPECT_EQ(cat.size(), 11u);
     for (const RuleInfo& r : cat) {
         EXPECT_TRUE(ruleKnown(r.id)) << r.id;
         EXPECT_NE(ruleTableMarkdown().find(std::string(r.id)),
@@ -458,6 +458,32 @@ TEST(BarrierDivergence, ConditionalReturnBeforeBarrier)
                     .empty());
 }
 
+// ------------------------------------------------------ read poll
+
+TEST(ReadPoll, FlagsConditionPollsNotScansBodiesOrDeclaredRacyLoads)
+{
+    const auto fs = lint(
+        "template <class Ctx>\n"
+        "void k(Ctx& ctx, unsigned& f, unsigned& n, unsigned* a) {\n"
+        "    while (ctx.read(f) == 0) {}\n"           // poll
+        "    for (; ctx.read<unsigned>(n) > 0;) {}\n" // poll
+        "    do {} while (ctx.read(f));\n"            // poll
+        "    while (ctx.readAtomic(f) == 0) {}\n"     // declared racy
+        "    for (unsigned i = ctx.read(n); i > 0; --i) {\n" // init
+        "        ctx.write(f, ctx.read(f) + 1);\n"    // body
+        "    }\n"
+        "    for (unsigned j = 0; ctx.read(a[j]) != 0; ++j) {}\n" // scan
+        "    unsigned s = 0;\n"
+        "    while (ctx.read(a[s]) != 0) { s += 2; }\n" // scan
+        "    for (;;) {}\n"
+        "}\n");
+    ASSERT_EQ(countRule(fs, "read-poll"), 3u) << dump(fs);
+    EXPECT_EQ(fs[0].line, 3);
+    EXPECT_EQ(fs[1].line, 4);
+    EXPECT_EQ(fs[2].line, 5);
+    EXPECT_EQ(fs.size(), 3u) << dump(fs);
+}
+
 // ----------------------------------------------- include layering
 
 TEST(IncludeLayering, UpwardIncludesFlaggedDownwardNot)
@@ -654,6 +680,19 @@ TEST(Fixtures, BarrierDivergenceDetectedAndAllowed)
     EXPECT_EQ(bad.findings.size(), 3u) << dump(bad.findings);
     const auto ok = analyzeFiles(
         {fixturePath("barrier_divergence_allowed.cpp.fixture")});
+    EXPECT_TRUE(ok.findings.empty()) << dump(ok.findings);
+    EXPECT_EQ(ok.suppressed, 1u);
+}
+
+TEST(Fixtures, ReadPollDetectedAndAllowed)
+{
+    const auto bad =
+        analyzeFiles({fixturePath("read_poll_bad.cpp.fixture")});
+    EXPECT_EQ(countRule(bad.findings, "read-poll"), 3u)
+        << dump(bad.findings);
+    EXPECT_EQ(bad.findings.size(), 3u) << dump(bad.findings);
+    const auto ok =
+        analyzeFiles({fixturePath("read_poll_allowed.cpp.fixture")});
     EXPECT_TRUE(ok.findings.empty()) << dump(ok.findings);
     EXPECT_EQ(ok.suppressed, 1u);
 }

@@ -235,7 +235,7 @@ TEST(Executor, OpsCountLoadsStoresAndWork)
         ctx.work(10);                   // 10 ops
     });
     for (std::uint64_t ops : info.thread_ops) {
-        EXPECT_GE(ops, 12u);
+        EXPECT_EQ(ops, 12u);
     }
 }
 
