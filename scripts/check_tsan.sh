@@ -47,7 +47,7 @@ cmake -B "$BUILD_DIR" -S . -DCRONO_SANITIZE=tsan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 TARGETS="frontier_test kernels_path_test kernels_search_test \
          kernels_processing_test kernels_consistency_test runtime_test \
-         par_equivalence_test"
+         par_equivalence_test cc_hook_test"
 # shellcheck disable=SC2086
 cmake --build "$BUILD_DIR" --target $TARGETS -j "$(nproc)"
 

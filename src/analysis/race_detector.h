@@ -11,7 +11,7 @@
  * host thread, so to TSan there is no concurrency at all. The
  * detector instead checks the *logical* concurrency of the program —
  * two accesses race iff no chain of sim synchronization (SimMutex
- * acquire/release, region barriers, atomic fetchAdd publishes, the
+ * acquire/release, region barriers, atomic fetchAdd/CAS publishes, the
  * region fork) orders them, regardless of how the deterministic
  * fiber schedule happened to serialize them.
  *
@@ -26,10 +26,12 @@
  *  - barrier: when all nthreads arrive, every C_t := ⊔ all clocks,
  *    then each ticks — a full synchronization point, exactly the
  *    Machine's semantics.
- *  - fetchAdd a: C_t ⊔= S_a, then the plain-write checks (silent
- *    for atomic-after-atomic because the join already ordered them),
- *    then S_a := C_t; tick. So RMWs act as release-acquire publishes
- *    that still conflict with unordered *plain* accesses.
+ *  - fetchAdd / compareExchange a: C_t ⊔= S_a, then the plain-write
+ *    checks (silent for atomic-after-atomic because the join already
+ *    ordered them), then S_a := C_t; tick. So RMWs act as
+ *    release-acquire publishes that still conflict with unordered
+ *    *plain* accesses. A CAS is such an RMW whether it stores or not:
+ *    a losing CAS still reads the word, with acquire order natively.
  *  - readAtomic a: C_t ⊔= S_a only. The probe is the kernel's
  *    declaration of an intended race (core/context.h); it neither
  *    checks nor updates the plain shadow state.

@@ -79,7 +79,8 @@ ruleCatalog()
         {"raw-sync", Severity::kError,
          "raw std:: synchronization / threads / pthread / builtin "
          "atomics bypass the ExecutionContext — use "
-         "ctx.read/write/fetchAdd, SimMutex, or rt::par",
+         "ctx.read/write/fetchAdd/compareExchange, SimMutex, or "
+         "rt::par",
          "src/core, src/graph, rt::bnb (runtime/obs/sim implement the "
          "Ctx and are exempt by policy)"},
         {"raw-include", Severity::kError,
@@ -334,7 +335,8 @@ passCtxDiscipline(const FileUnit& u, std::vector<Finding>* out)
             report(u, t.line, "raw-sync",
                    "raw synchronization '" + t.text +
                        "' bypasses the ExecutionContext — use "
-                       "ctx.read/write/fetchAdd, SimMutex, or rt::par",
+                       "ctx.read/write/fetchAdd/compareExchange, "
+                       "SimMutex, or rt::par",
                    out);
             continue;
         }
@@ -357,8 +359,8 @@ passCtxDiscipline(const FileUnit& u, std::vector<Finding>* out)
                     report(u, t.line, "raw-sync",
                            "raw synchronization 'std::" + member +
                                "' bypasses the ExecutionContext — "
-                               "use ctx.read/write/fetchAdd, "
-                               "SimMutex, or rt::par",
+                               "use ctx.read/write/fetchAdd/"
+                               "compareExchange, SimMutex, or rt::par",
                            out);
                     break;
                 }
@@ -808,9 +810,9 @@ passCaptureEscape(const FileUnit& u, std::vector<Finding>* out)
                        "lambda passed to " + t.text +
                            " writes by-reference capture '" + name +
                            "', which aliases shared storage — route "
-                           "shared writes through ctx.write/fetchAdd, "
-                           "a Padded slot indexed by ctx.tid(), or "
-                           "tryClaim",
+                           "shared writes through ctx.write/fetchAdd/"
+                           "compareExchange, a Padded slot indexed by "
+                           "ctx.tid(), or tryClaim",
                        out);
             };
 

@@ -2,42 +2,54 @@
  * @file
  * Connected Components (Section III-7).
  *
- * Parallelization: graph division with barriered phases. Labels are
- * initialized to vertex ids, then iteratively lowered to the minimum
- * label among each vertex's neighborhood under per-vertex locks until
- * a round makes no change; vertices sharing a final label form one
- * component. The init / propagate / converge phases separated by
- * barriers produce the sinusoidal active-vertex pattern of Figure 2.
+ * The paper's parallelization (kFlagScan): graph division with
+ * barriered phases. Labels are initialized to vertex ids, then
+ * iteratively lowered to the minimum label among each vertex's
+ * neighborhood under per-vertex locks until a round makes no change;
+ * vertices sharing a final label form one component. The init /
+ * propagate / converge phases separated by barriers produce the
+ * sinusoidal active-vertex pattern of Figure 2.
  *
- * Two structures, both built on the rt::par primitives:
+ * Two kernels, selected by FrontierMode:
  *
- *  - kFlagScan (the paper's): every round is a full pull-style rescan
- *    (par::edgeMapPullAll) — each vertex folds the minimum label over
- *    its whole neighborhood, improving itself under its lock. O(E)
- *    per round regardless of how much is still changing.
- *  - frontier modes: label propagation flips to push (an active
- *    vertex offers its label to its neighbors and re-activates the
- *    ones it improved) — once labels stop changing in a region, its
- *    vertices drop off the front instead of being rescanned. Heavy
- *    rounds go pull-side (par::edgeMapPull): every vertex folds the
- *    minimum over its *in-front* neighbors and self-activates if
- *    improved — same invariant (a vertex whose label changed in
- *    round r is on round r+1's front), no locks needed because pull
- *    writes are owner-exclusive. The fixpoint is identical in every
- *    mode (minimum member id per component).
+ *  - kFlagScan (the paper's): label propagation in which every round
+ *    is a full pull-style rescan (par::edgeMapPullAll) — each vertex
+ *    folds the minimum label over its whole neighborhood, improving
+ *    itself under its lock. O(E) per round and O(diameter) rounds,
+ *    which is the structure the simulator figures measure.
+ *  - every other mode (kSparse, kAdaptive, kPull): one work-efficient
+ *    hook-and-compress kernel, Afforest (Sutton et al., IPDPS 2018;
+ *    the GAP suite's reference CC). Labels are parent pointers. Two
+ *    sampling rounds each link every vertex with one neighbor (a
+ *    CAS hooks the higher root under the lower) and then compress
+ *    the trees; thread 0 samples the most frequent root; every
+ *    vertex outside that component links its remaining neighbors;
+ *    a final compress flattens every tree. The frequent-label skip
+ *    is sound only when every edge is listed at both endpoints, so
+ *    this kernel needs an undirected graph.
+ *
+ * Both converge to the same labels: the minimum member id of each
+ * component (flag-scan by construction; hook-and-compress because
+ * every hook lowers a label, so comp[x] <= x and a root is its
+ * tree's minimum).
  */
 
 #ifndef CRONO_CORE_CONNECTED_COMPONENTS_H_
 #define CRONO_CORE_CONNECTED_COMPONENTS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/context.h"
 #include "graph/graph.h"
 #include "obs/telemetry.h"
 #include "runtime/executor.h"
-#include "runtime/frontier.h"
 #include "runtime/par.h"
+#include "runtime/partition.h"
+#include "runtime/strategies.h"
 
 namespace crono::core {
 
@@ -152,138 +164,211 @@ connectedComponentsKernel(Ctx& ctx, ConnectedComponentsState<Ctx>& s)
     }
 }
 
-/**
- * Connected-components state for the work-list engine path (see the
- * file header for the push / pull round structure).
- */
+/** Neighbor-sampling rounds before the frequent-label skip (GAP's 2). */
+inline constexpr unsigned kHookSampleRounds = 2;
+
+/** Vertices sampled to estimate the most frequent label. */
+inline constexpr unsigned kHookSamples = 1024;
+
+/** Hook-and-compress (Afforest) state: one parent pointer per vertex. */
 template <class Ctx>
-struct ConnectedComponentsFrontierState {
-    ConnectedComponentsFrontierState(const graph::Graph& graph,
-                                     int nthreads, rt::FrontierMode mode,
-                                     rt::ActiveTracker* tracker_in)
-        : g(graph), label(graph.numVertices()),
-          frontier(graph.numVertices(), graph.numEdges(), nthreads, mode),
-          locks(graph.numVertices()), tracker(tracker_in)
+struct ConnectedComponentsHookState {
+    ConnectedComponentsHookState(const graph::Graph& graph,
+                                 rt::ActiveTracker* tracker_in)
+        : g(graph), comp(graph.numVertices(), 0), tracker(tracker_in)
     {
-        for (graph::VertexId v = 0; v < graph.numVertices(); ++v) {
-            label[v] = v;
-        }
-        frontier.seedAll(); // round 0: every vertex offers its own id
     }
 
     const graph::Graph& g;
-    AlignedVector<graph::VertexId> label;
-    rt::FrontierEngine frontier;
-    Padded<std::uint64_t> rounds;
-    LockStripe<Ctx> locks;
+    /** Parent pointers; comp[v] <= v always, roots point at themselves. */
+    AlignedVector<graph::VertexId> comp;
+    /** The sampled most frequent root, published by thread 0. */
+    Padded<graph::VertexId> frequent;
     rt::ActiveTracker* tracker;
 };
 
+namespace detail {
+
+/**
+ * Afforest's link (GAP's Link): join the trees of u and v by hooking
+ * the higher root under the lower one. The probes are declared-racy:
+ * other threads hook concurrently, and a stale value only costs
+ * another trip round the loop, because a hook happens only through
+ * the CAS, and only on a word that still holds its own id (a root).
+ * Every hook lowers a label, so comp[x] <= x holds throughout.
+ *
+ * @return true if this call hooked a root
+ */
+template <class Ctx>
+bool
+hookLink(Ctx& ctx, graph::VertexId* comp, graph::VertexId u,
+         graph::VertexId v)
+{
+    graph::VertexId p1 = ctx.readAtomic(comp[u]);
+    graph::VertexId p2 = ctx.readAtomic(comp[v]);
+    while (p1 != p2) {
+        const graph::VertexId high = std::max(p1, p2);
+        const graph::VertexId low = std::min(p1, p2);
+        const graph::VertexId p_high = ctx.readAtomic(comp[high]);
+        if (p_high == low) {
+            return false;
+        }
+        if (p_high == high && ctx.compareExchange(comp[high], high, low)) {
+            return true;
+        }
+        p1 = ctx.readAtomic(comp[p_high]);
+        p2 = ctx.readAtomic(comp[low]);
+    }
+    return false;
+}
+
+/**
+ * Point every vertex of @p own straight at its root. Only the owner
+ * writes comp[v]; the walk's probes are declared-racy because other
+ * owners shorten their own pointers meanwhile, and with no hooks
+ * running a word that holds its own id is a root for good.
+ */
 template <class Ctx>
 void
-connectedComponentsFrontierKernel(Ctx& ctx,
-                                  ConnectedComponentsFrontierState<Ctx>& s)
+compress(Ctx& ctx, graph::VertexId* comp, rt::Range own)
+{
+    for (std::uint64_t vi = own.begin; vi < own.end; ++vi) {
+        const graph::VertexId parent = ctx.read(comp[vi]);
+        graph::VertexId root = parent;
+        for (graph::VertexId up = ctx.readAtomic(comp[root]); up != root;
+             up = ctx.readAtomic(comp[root])) {
+            root = up;
+        }
+        if (root != parent) {
+            ctx.write(comp[vi], root);
+        }
+    }
+}
+
+/**
+ * The most frequent label among kHookSamples fixed-seed samples of
+ * @p comp (ties go to the smaller label). Deterministic for a given
+ * labeling, so a rerun skips the same component.
+ */
+template <class Ctx>
+graph::VertexId
+frequentLabel(Ctx& ctx, const graph::VertexId* comp, graph::VertexId n)
+{
+    std::vector<graph::VertexId> sample(kHookSamples);
+    Rng rng(0x5eed);
+    for (graph::VertexId& label : sample) {
+        label = ctx.read(comp[rng.nextBelow(n)]);
+    }
+    std::sort(sample.begin(), sample.end());
+    ctx.work(kHookSamples);
+    graph::VertexId best = sample[0];
+    std::ptrdiff_t best_run = 0;
+    for (auto run = sample.begin(); run != sample.end();) {
+        const auto run_end = std::upper_bound(run, sample.end(), *run);
+        if (run_end - run > best_run) {
+            best = *run;
+            best_run = run_end - run;
+        }
+        run = run_end;
+    }
+    return best;
+}
+
+} // namespace detail
+
+/**
+ * Hook-and-compress kernel body (Afforest; see the file header).
+ * Needs an undirected CSR: the frequent-label skip relies on every
+ * edge leaving the skipped component also being listed at its other
+ * endpoint.
+ */
+template <class Ctx>
+void
+connectedComponentsHookKernel(Ctx& ctx, ConnectedComponentsHookState<Ctx>& s)
 {
     const rt::par::Csr csr = rt::par::csrOf(s.g);
+    const graph::VertexId n = s.g.numVertices();
+    graph::VertexId* const comp = s.comp.data();
+    // Vertex blocks, not degreeBalancedRange: sampling links one edge
+    // per vertex, and the finishing pass skips most of the edges (the
+    // frequent component's), so the work is per vertex.
+    const rt::Range own = rt::blockPartition(n, ctx.tid(), ctx.nthreads());
+    const auto owned = static_cast<std::int64_t>(own.end - own.begin);
 
     obs::Track* const track =
         obs::trackFor(obs::sink(), obs::ctxTrackKind<Ctx>, ctx.tid());
-    std::uint64_t relaxations = 0;
+    std::uint64_t hooks = 0;
 
-    std::uint64_t front = s.frontier.initialFrontSize();
-    std::uint64_t round = 0;
-    while (front != 0) {
-        const rt::RoundPlan plan =
-            s.frontier.planRound(front, /*allow_pull=*/true);
-        if (plan == rt::RoundPlan::kPull) {
-            if (ctx.tid() == 0) {
-                trackAdd(s.tracker, -static_cast<std::int64_t>(front));
+    for (std::uint64_t v = own.begin; v < own.end; ++v) {
+        ctx.write(comp[v], static_cast<graph::VertexId>(v));
+    }
+    ctx.barrier();
+
+    // Sampling: link each vertex with its r-th neighbor only, then
+    // compress. Two rounds already merge most of a large component.
+    for (unsigned r = 0; r < kHookSampleRounds; ++r) {
+        const std::uint64_t begin = track != nullptr ? ctx.timestamp() : 0;
+        trackAdd(s.tracker, owned);
+        for (std::uint64_t v = own.begin; v < own.end; ++v) {
+            const graph::EdgeId e = ctx.read(csr.offsets[v]) + r;
+            if (e < ctx.read(csr.offsets[v + 1]) &&
+                detail::hookLink(ctx, comp,
+                                 static_cast<graph::VertexId>(v),
+                                 ctx.read(csr.neighbors[e]))) {
+                ++hooks;
             }
-            graph::VertexId lv = 0;
-            graph::VertexId best = 0;
-            rt::par::edgeMapPull(
-                ctx, csr, s.frontier, round,
-                [&](graph::VertexId v) {
-                    lv = ctx.read(s.label[v]);
-                    best = lv;
-                    return true; // every vertex is a candidate
-                },
-                [&](graph::VertexId, graph::VertexId u, graph::EdgeId) {
-                    // Declared-racy probe: u's owner may lower
-                    // label[u] mid-fold (owner-exclusive pull write).
-                    // Monotone: any observed value is a valid member
-                    // id; a stale read only defers the improvement.
-                    const graph::VertexId lu =
-                        ctx.readAtomic(s.label[u]);
-                    if (lu < best) {
-                        best = lu;
-                    }
-                    return false; // need the min, no early exit
-                },
-                [&](graph::VertexId v) {
-                    if (best < lv) {
-                        // Owner-exclusive (no pushes in a pull round):
-                        // plain write, no lock. Concurrent readers see
-                        // either label — both are component members.
-                        ctx.write(s.label[v], best);
-                        ++relaxations;
-                        if (s.frontier.activate(ctx, round, v)) {
-                            trackAdd(s.tracker, 1);
-                        }
-                    }
-                });
-        } else {
-            rt::par::edgeMapPush(
-                ctx, csr, s.frontier, round,
-                plan == rt::RoundPlan::kDensePush,
-                [&](graph::VertexId) {
-                    trackAdd(s.tracker, -1);
-                    return true;
-                },
-                [&](graph::VertexId u, graph::VertexId v,
-                    graph::EdgeId) {
-                    ctx.work(1);
-                    // Declared-racy probes: both labels may be lowered
-                    // concurrently under their own locks. A stale read
-                    // only delays the offer, never loses it — v stays
-                    // (or lands) on a front whenever its label drops.
-                    const graph::VertexId lu =
-                        ctx.readAtomic(s.label[u]);
-                    if (lu >= ctx.readAtomic(s.label[v])) {
-                        return; // racy skip, see above
-                    }
-                    ScopedLock<Ctx> guard(ctx, s.locks.of(v));
-                    if (lu < ctx.read(s.label[v])) {
-                        ctx.write(s.label[v], lu);
-                        ++relaxations;
-                        if (s.frontier.activate(ctx, round, v)) {
-                            trackAdd(s.tracker, 1);
-                        }
-                    }
-                });
         }
-        front = s.frontier.advance(ctx, round, [&] {
-            if (plan == rt::RoundPlan::kPull) {
-                s.frontier.clearCurrentBlock(ctx, round);
+        trackAdd(s.tracker, -owned);
+        ctx.barrier();
+        detail::compress(ctx, comp, own);
+        ctx.barrier();
+        if (track != nullptr) {
+            obs::spanRecord(track, {begin, ctx.timestamp(), "link-sample",
+                                    r, obs::SpanCat::kRound});
+        }
+    }
+
+    if (ctx.tid() == 0 && n != 0) {
+        ctx.write(s.frequent.value, detail::frequentLabel(ctx, comp, n));
+    }
+    ctx.barrier();
+    const graph::VertexId frequent = ctx.read(s.frequent.value);
+
+    // Finish: every vertex outside the frequent component links its
+    // remaining neighbors. An edge from inside it is linked from its
+    // other endpoint, which is why the graph must be undirected.
+    const std::uint64_t begin = track != nullptr ? ctx.timestamp() : 0;
+    trackAdd(s.tracker, owned);
+    for (std::uint64_t v = own.begin; v < own.end; ++v) {
+        if (ctx.readAtomic(comp[v]) == frequent) {
+            continue;
+        }
+        const graph::EdgeId beg = ctx.read(csr.offsets[v]);
+        const graph::EdgeId end = ctx.read(csr.offsets[v + 1]);
+        for (graph::EdgeId e = beg + kHookSampleRounds; e < end; ++e) {
+            if (detail::hookLink(ctx, comp,
+                                 static_cast<graph::VertexId>(v),
+                                 ctx.read(csr.neighbors[e]))) {
+                ++hooks;
             }
-        });
-        ++round;
+        }
     }
-    if (ctx.tid() == 0) {
-        ctx.write(s.rounds.value, round);
-    }
+    trackAdd(s.tracker, -owned);
+    ctx.barrier();
+    detail::compress(ctx, comp, own);
     if (track != nullptr) {
-        obs::counterBump(track, obs::Counter::kRelaxations, relaxations);
+        obs::spanRecord(track, {begin, ctx.timestamp(), "link-rest",
+                                kHookSampleRounds, obs::SpanCat::kRound});
+        obs::counterBump(track, obs::Counter::kRelaxations, hooks);
     }
 }
 
 /**
  * Run connected components; also reports the component count.
  *
- * @param mode frontier representation; kFlagScan (default) is the
- *             paper's pull-based full-rescan structure,
- *             kSparse/kAdaptive run push-based on the work lists with
- *             heavy rounds taken pull-side (direction optimization)
+ * @param mode kFlagScan (default) is the paper's pull-based
+ *             full-rescan label propagation; every other mode runs the
+ *             hook-and-compress kernel, which needs g.undirected()
  */
 template <class Exec>
 ConnectedComponentsResult
@@ -305,14 +390,14 @@ connectedComponents(Exec& exec, int nthreads, const graph::Graph& g,
         label = std::move(state.label);
         rounds = state.rounds.value;
     } else {
-        ConnectedComponentsFrontierState<Ctx> state(g, nthreads, mode,
-                                                    tracker);
+        CRONO_ASSERT(g.undirected(),
+                     "hook-and-compress CC needs an undirected graph");
+        ConnectedComponentsHookState<Ctx> state(g, tracker);
         info = exec.parallel(nthreads, [&state](Ctx& ctx) {
-            connectedComponentsFrontierKernel(ctx, state);
+            connectedComponentsHookKernel(ctx, state);
         });
-        state.frontier.applyRoundStats(info);
-        label = std::move(state.label);
-        rounds = state.rounds.value;
+        label = std::move(state.comp);
+        rounds = kHookSampleRounds + 1;
     }
     result.num_components = 0;
     for (graph::VertexId v = 0; v < g.numVertices(); ++v) {

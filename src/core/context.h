@@ -12,6 +12,9 @@
  *   T    read(const T& ref);          // shared load; must not race
  *   void write(T& ref, T value);      // shared store
  *   T    fetchAdd(T& ref, T delta);   // atomic RMW, returns old
+ *   bool compareExchange(T& ref, T expected, T desired);
+ *                                     // atomic CAS, true iff stored;
+ *                                     // an RMW publish win or lose
  *   T    readAtomic(const T& ref);    // declared-racy probe load
  *
  * readAtomic is the kernel's annotation that a load is *intended* to

@@ -75,9 +75,10 @@ struct Workload {
     unsigned comm_rounds = 8;
     /**
      * Frontier representation for the frontier-driven kernels (SSSP,
-     * BFS, CONN_COMP, and the APSP/BETW_CENT forward pass). The
-     * default keeps every paper-figure experiment on the paper's
-     * flag-scan structure.
+     * BFS, and the APSP/BETW_CENT forward pass); CONN_COMP runs
+     * hook-and-compress in every mode but kFlagScan. The default
+     * keeps every paper-figure experiment on the paper's flag-scan
+     * structure.
      */
     rt::FrontierMode frontier_mode = rt::FrontierMode::kFlagScan;
     /**

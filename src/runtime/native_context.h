@@ -5,10 +5,11 @@
  *
  * The concept (see core/context.h for the full contract):
  *   - tid() / nthreads()
- *   - read(ref) / write(ref, v) / fetchAdd(ref, d): shared-memory
- *     accesses. Native: read() is a plain load; write(), fetchAdd()
- *     and the declared-racy readAtomic() are atomic. Simulator:
- *     routed through the modeled memory hierarchy.
+ *   - read(ref) / write(ref, v) / fetchAdd(ref, d) /
+ *     compareExchange(ref, expected, desired): shared-memory accesses.
+ *     Native: read() is a plain load; write(), fetchAdd(),
+ *     compareExchange() and the declared-racy readAtomic() are atomic.
+ *     Simulator: routed through the modeled memory hierarchy.
  *   - work(n): n units of pure compute.
  *   - Mutex, lock(), unlock(), barrier(): synchronization.
  *   - ops(): per-thread instruction-count proxy for the Variability
@@ -112,6 +113,21 @@ class NativeCtx {
             delta, std::memory_order_acq_rel);
     }
 
+    /**
+     * Atomic compare-and-swap: stores @p desired iff @p ref holds
+     * @p expected. Returns whether it stored. One op, win or lose.
+     */
+    template <class T>
+    bool
+    compareExchange(T& ref, T expected, T desired)
+    {
+        static_assert(atomicCapable<T>,
+                      "compareExchange needs an atomic scalar");
+        ++ops_;
+        return std::atomic_ref<T>(ref).compare_exchange_strong(
+            expected, desired, std::memory_order_acq_rel);
+    }
+
     /** Account @p n units of pure computation. */
     void work(std::uint64_t n) { ops_ += n; }
 
@@ -164,7 +180,12 @@ class NativeCtx {
         std::atomic_ref<std::remove_const_t<T>>::is_always_lock_free;
 
     Barrier* barrier_;
-    std::uint64_t ops_ = 0;
+    // unsigned long long, not std::uint64_t: on LP64 the latter is
+    // unsigned long, the type of graph::EdgeId, so a load through an
+    // EdgeId* (ctx.read(offsets[v])) could read the counter, and the
+    // compiler would have to store it to memory before every such
+    // load. Distinct types cannot alias, so ops_ stays in a register.
+    unsigned long long ops_ = 0;
     int tid_;
     int nthreads_;
 };

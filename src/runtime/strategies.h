@@ -24,7 +24,9 @@ namespace crono::rt {
 
 /**
  * Frontier representation used by the frontier-driven kernels (SSSP,
- * BFS, connected components and the betweenness/APSP forward pass).
+ * BFS and the betweenness/APSP forward pass). Connected components
+ * reads only kFlagScan vs the rest: every other mode runs its
+ * hook-and-compress kernel, which has no frontier.
  *
  *  - kFlagScan: the paper's structure — per-vertex active flags,
  *    every thread rescans its full static vertex block each round.

@@ -109,8 +109,14 @@ QueryEngine::components(const Snapshot& snap)
     if (auto hit = cacheGet(snap.epoch(), Kind::kComponents, 0)) {
         return std::static_pointer_cast<const Components>(hit);
     }
+    // Hook-and-compress beats flag-scan on served graphs (DESIGN.md
+    // §17.3); it needs an undirected graph, so a directed store keeps
+    // flag-scan.
+    const graph::Graph& g = snap.materialized();
     core::ConnectedComponentsResult r = core::connectedComponents(
-        exec_, config_.nthreads, snap.materialized());
+        exec_, config_.nthreads, g, nullptr,
+        g.undirected() ? rt::FrontierMode::kAdaptive
+                       : rt::FrontierMode::kFlagScan);
     auto comp = std::make_shared<Components>();
     comp->label = std::move(r.label);
     // Canonicalize to the minimum external id per component so the

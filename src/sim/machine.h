@@ -75,6 +75,13 @@ class SimCtx {
     T fetchAdd(T& ref, T delta);
 
     /**
+     * Compare-and-swap, modeled like fetchAdd: one store access and
+     * one atomic-RMW event whether it stores or not.
+     */
+    template <class T>
+    bool compareExchange(T& ref, T expected, T desired);
+
+    /**
      * Declared-racy atomic load: modeled exactly like read() (same
      * cache/NoC traffic, same cycles), but classified as an atomic
      * probe for the analysis layer — the race detector orders it
@@ -287,6 +294,22 @@ SimCtx::fetchAdd(T& ref, T delta)
     const T old = ref;
     ref = static_cast<T>(old + delta);
     return old;
+}
+
+template <class T>
+bool
+SimCtx::compareExchange(T& ref, T expected, T desired)
+{
+    machine_->modelAccess(tid_, reinterpret_cast<std::uintptr_t>(&ref),
+                          sizeof(T), /*is_store=*/true);
+    machine_->observeRmw(tid_, reinterpret_cast<std::uintptr_t>(&ref),
+                         sizeof(T));
+    // Functionally atomic for the same reason as fetchAdd.
+    if (ref != expected) {
+        return false;
+    }
+    ref = desired;
+    return true;
 }
 
 template <class T>

@@ -4,10 +4,10 @@
  * and synchronization events.
  *
  * Every shared access in a simulated build already flows through
- * SimCtx::read/write/fetchAdd and the Machine's lock/barrier
- * primitives — a free, complete interception point for dynamic
- * analyses that host-level tools cannot provide (TSan cannot see
- * fibers multiplexed on one host thread; it observes a single OS
+ * SimCtx::read/write/fetchAdd/compareExchange and the Machine's
+ * lock/barrier primitives — a free, complete interception point for
+ * dynamic analyses that host-level tools cannot provide (TSan cannot
+ * see fibers multiplexed on one host thread; it observes a single OS
  * thread whose stack "jumps"). An AccessObserver installed via
  * Machine::setObserver receives one callback per modeled event, in
  * the exact order the fibers execute them.
@@ -24,7 +24,8 @@
  *    sequentially, so nothing an analysis could race with exists
  *    outside [onRegionBegin, run() returning].
  *  - Lock identity is the SimMutex object's address; atomic events
- *    (fetchAdd, readAtomic) carry the data word's address.
+ *    (fetchAdd, compareExchange, readAtomic) carry the data word's
+ *    address.
  *
  * The interface lives in sim (not analysis) so the Machine depends
  * only on its own layer; crono_analysis implements it one level up.
@@ -53,7 +54,10 @@ class AccessObserver {
     virtual void onSharedWrite(int tid, std::uintptr_t addr,
                                std::uint32_t size) = 0;
 
-    /** Atomic read-modify-write by thread @p tid (SimCtx::fetchAdd). */
+    /**
+     * Atomic read-modify-write by thread @p tid (SimCtx::fetchAdd, or
+     * SimCtx::compareExchange whether it stores or not).
+     */
     virtual void onAtomicRmw(int tid, std::uintptr_t addr,
                              std::uint32_t size) = 0;
 

@@ -10,10 +10,11 @@
  * atomic one) may change for speed, but the count it reports must
  * not, or `variability` drifts silently. The runs pinned here are the
  * deterministic ones: gather PageRank partitions its edges statically
- * at any thread count, and the flag-scan BFS/CC and delta-stepping
- * kernels schedule deterministically at one thread. A mismatch prints
- * the measured row in the table's own syntax; a row may only be
- * re-recorded by a change that is meant to alter what a kernel counts.
+ * at any thread count, and the flag-scan BFS/CC, hook-and-compress CC
+ * and delta-stepping kernels schedule deterministically at one
+ * thread. A mismatch prints the measured row in the table's own
+ * syntax; a row may only be re-recorded by a change that is meant to
+ * alter what a kernel counts.
  */
 
 #include <gtest/gtest.h>
@@ -48,12 +49,14 @@ const Golden kGolden[] = {
     {"road", "pagerank-gather", 4, {5035u, 4783u, 5002u, 4816u}},
     {"road", "bfs-flagscan", 1, {11511u}},
     {"road", "cc-flagscan", 1, {37562u}},
+    {"road", "cc-hook", 1, {8813u}},
     {"road", "sssp-delta", 1, {6778u}},
     {"social", "pagerank-gather", 1, {26722u}},
     {"social", "pagerank-gather", 2, {10924u, 15802u}},
     {"social", "pagerank-gather", 4, {5080u, 5848u, 7057u, 8749u}},
     {"social", "bfs-flagscan", 1, {8299u}},
     {"social", "cc-flagscan", 1, {21620u}},
+    {"social", "cc-hook", 1, {6757u}},
     {"social", "sssp-delta", 1, {11719u}},
 };
 
@@ -72,6 +75,11 @@ opsOf(rt::NativeExecutor& exec, const std::string& kernel, int threads,
     }
     if (kernel == "cc-flagscan") {
         return connectedComponents(exec, threads, g).run.thread_ops;
+    }
+    if (kernel == "cc-hook") {
+        return connectedComponents(exec, threads, g, nullptr,
+                                   rt::FrontierMode::kAdaptive)
+            .run.thread_ops;
     }
     return deltaSteppingSssp(exec, threads, g, 0).run.thread_ops;
 }

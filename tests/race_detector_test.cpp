@@ -9,7 +9,8 @@
  *
  * A seeded-race fixture then proves the sweep has teeth: a racy
  * region run under a ScopedHostSpan must be flagged with the right
- * kernel name and address.
+ * kernel name and address. Two unit cases pin the compareExchange
+ * event the hook-and-compress CC kernel relies on.
  */
 
 #include <gtest/gtest.h>
@@ -172,6 +173,43 @@ TEST(RaceDetectorSweep, SeededRaceFixtureIsAttributed)
     EXPECT_EQ(r.kernel, "SEEDED_RACE_FIXTURE");
     EXPECT_EQ(r.region, "fixture/seeded");
     EXPECT_TRUE(r.lockset_empty);
+}
+
+TEST(RaceDetectorCas, UnorderedCasesOnOneWordSilent)
+{
+    sim::Machine machine(test::smallSimConfig());
+    RaceDetector det;
+    machine.setObserver(&det);
+    std::uint32_t word = 0;
+    int wins = 0;
+    machine.run(4, [&](sim::SimCtx& ctx) {
+        // Every contender but one loses; each CAS is still an atomic
+        // RMW, so the detector orders them against each other.
+        if (ctx.compareExchange(word, 0u,
+                                static_cast<std::uint32_t>(ctx.tid() + 1))) {
+            ++wins;
+        }
+    });
+    EXPECT_EQ(wins, 1);
+    EXPECT_EQ(det.totalRaces(), 0u) << analysis::racesJson(det);
+}
+
+TEST(RaceDetectorCas, CasAgainstUnorderedPlainReadFlagged)
+{
+    sim::Machine machine(test::smallSimConfig());
+    RaceDetector det;
+    machine.setObserver(&det);
+    std::uint32_t word = 0;
+    machine.run(2, [&](sim::SimCtx& ctx) {
+        if (ctx.tid() == 0) {
+            // A losing CAS: it stores nothing but is still an RMW.
+            (void)ctx.compareExchange(word, 5u, 6u);
+        } else {
+            (void)ctx.read(word); // unordered plain read: a race
+        }
+    });
+    EXPECT_EQ(word, 0u);
+    EXPECT_EQ(det.totalRaces(), 1u);
 }
 
 } // namespace

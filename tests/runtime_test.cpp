@@ -1,8 +1,9 @@
 /**
  * @file
  * Parallel-runtime tests: spinlocks, barriers, partitioners, the
- * vertex-capture and global-bound strategies, the executor, and the
- * instrumentation (Variability metric, ActiveTracker).
+ * vertex-capture and global-bound strategies, the executor, the
+ * instrumentation (Variability metric, ActiveTracker), and
+ * compareExchange on the native and simulated contexts.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "runtime/partition.h"
 #include "runtime/spinlock.h"
 #include "runtime/strategies.h"
+#include "sim/machine.h"
+#include "tests/kernel_test_util.h"
 
 namespace crono::rt {
 namespace {
@@ -237,6 +240,61 @@ TEST(Executor, OpsCountLoadsStoresAndWork)
     for (std::uint64_t ops : info.thread_ops) {
         EXPECT_EQ(ops, 12u);
     }
+}
+
+TEST(NativeCtxCas, WinAndLoseReturnsAndOneOpEach)
+{
+    NativeExecutor exec(1);
+    std::uint32_t word = 7;
+    bool won = false;
+    bool lost = true;
+    const RunInfo info = exec.parallel(1, [&](NativeCtx& ctx) {
+        won = ctx.compareExchange(word, 7u, 3u);  // stores
+        lost = ctx.compareExchange(word, 7u, 1u); // word is 3 now
+    });
+    EXPECT_TRUE(won);
+    EXPECT_FALSE(lost);
+    EXPECT_EQ(word, 3u);
+    EXPECT_EQ(info.thread_ops, std::vector<std::uint64_t>{2u});
+}
+
+TEST(NativeCtxCas, ExactlyOneContenderWins)
+{
+    NativeExecutor exec(4);
+    std::uint32_t word = 0;
+    std::atomic<int> wins{0};
+    exec.parallel(4, [&](NativeCtx& ctx) {
+        const auto mine = static_cast<std::uint32_t>(ctx.tid() + 1);
+        if (ctx.compareExchange(word, 0u, mine)) {
+            wins.fetch_add(1);
+        }
+    });
+    EXPECT_EQ(wins.load(), 1);
+    EXPECT_NE(word, 0u);
+}
+
+TEST(SimCtxCas, WinAndLoseReturnsModeledLikeFetchAdd)
+{
+    sim::Machine machine(test::smallSimConfig());
+    std::uint64_t word = 7;
+    bool won = false;
+    bool lost = true;
+    const sim::SimRunStats cas = machine.run(1, [&](sim::SimCtx& ctx) {
+        won = ctx.compareExchange(word, std::uint64_t{7}, std::uint64_t{3});
+        lost = ctx.compareExchange(word, std::uint64_t{7}, std::uint64_t{1});
+    });
+    EXPECT_TRUE(won);
+    EXPECT_FALSE(lost);
+    EXPECT_EQ(word, 3u);
+    EXPECT_EQ(cas.thread_ops, std::vector<std::uint64_t>{2u});
+    // Win or lose, a CAS costs what a fetchAdd on the same word costs.
+    const sim::SimRunStats add = machine.run(1, [&](sim::SimCtx& ctx) {
+        ctx.fetchAdd(word, std::uint64_t{1});
+        ctx.fetchAdd(word, std::uint64_t{1});
+    });
+    EXPECT_EQ(cas.completion_cycles, add.completion_cycles);
+    EXPECT_EQ(cas.l1d, add.l1d);
+    EXPECT_EQ(cas.network, add.network);
 }
 
 TEST(Executor, VariabilityReportedForImbalancedWork)
