@@ -151,9 +151,9 @@ BENCHMARK(BM_RoadBfs)
  * vertices, edge factor 16, low diameter, power-law degrees) is the
  * regime where a BFS puts a large fraction of the graph on the front
  * in two or three heavy middle rounds. Sweeping every FrontierMode —
- * including kPull and the direction-optimizing kAdaptive — makes the
- * pull-side win measurable (acceptance: adaptive beats the push-only
- * modes here).
+ * including the direction-optimizing kAdaptive — makes the pull-side
+ * win measurable (acceptance: adaptive beats the push-only modes
+ * here).
  */
 const graph::Graph&
 socialBenchGraph()
@@ -183,11 +183,9 @@ BENCHMARK(BM_SocialBfs)
     ->ArgNames({"mode", "threads"})
     ->Args({0, 1})
     ->Args({1, 1})
-    ->Args({3, 1})
     ->Args({2, 1})
     ->Args({0, 4})
     ->Args({1, 4})
-    ->Args({3, 4})
     ->Args({2, 4})
     ->Unit(benchmark::kMillisecond);
 
@@ -413,15 +411,11 @@ runJsonSuite(const std::string& path)
                 }));
         }
     }
-    // Direction-optimization rows: all four modes on the social
-    // network (the pull/adaptive headline), plus scatter-vs-gather
-    // PageRank.
+    // Direction-optimization rows: every mode on the social network
+    // (the adaptive pull headline), plus scatter-vs-gather PageRank.
     const graph::Graph& social = socialBenchGraph();
     const std::string social_name = "social(2^14,ef16)";
-    const rt::FrontierMode social_modes[] = {
-        rt::FrontierMode::kFlagScan, rt::FrontierMode::kSparse,
-        rt::FrontierMode::kPull, rt::FrontierMode::kAdaptive};
-    for (const rt::FrontierMode mode : social_modes) {
+    for (const rt::FrontierMode mode : modes) {
         const std::string mode_name = rt::frontierModeName(mode);
         rows.push_back(timedEntry(
             "bfs/social/" + mode_name + "/t4", "BFS", social_name,

@@ -1,10 +1,9 @@
 /**
  * @file
  * Ordering x kernel speedup table for the reordering subsystem
- * (graph/reorder.h): every Reordering is applied (with the blocked
- * layout attached, so the bin-major pull paths run) to a road
- * network and a power-law social network, each kernel is timed
- * natively, and the table reports per-ordering speedup over kNone.
+ * (graph/reorder.h): every Reordering is applied to a road network
+ * and a power-law social network, each kernel is timed natively, and
+ * the table reports per-ordering speedup over kNone.
  * The acceptance bar recorded in EXPERIMENTS.md: the best ordering
  * must reach >= 1.2x over kNone on at least one social-graph kernel.
  *
@@ -166,8 +165,7 @@ simLocalitySection(const bench::Options& opt)
         for (const Reordering r :
              {Reordering::kNone, Reordering::kDegreeSort,
               Reordering::kRcm}) {
-            const graph::ReorderedGraph rg =
-                graph::reorderGraph(*gptr, r, /*blocked=*/true);
+            const graph::ReorderedGraph rg = graph::reorderGraph(*gptr, r);
             sim::Machine machine(cfg);
             core::pageRank(machine, 8, rg.graph, 3, 0.15, nullptr,
                            core::PageRankMode::kGather);
@@ -209,8 +207,7 @@ main(int argc, char** argv)
         std::vector<graph::ReorderedGraph> relabeled;
         for (const Reordering r : graph::allReorderings()) {
             const auto start = std::chrono::steady_clock::now();
-            relabeled.push_back(
-                graph::reorderGraph(bg.g, r, /*blocked=*/true));
+            relabeled.push_back(graph::reorderGraph(bg.g, r));
             const double ms =
                 1e3 * std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)

@@ -17,7 +17,7 @@
  *    CRONO's released kernel disappears — one RMW replaces
  *    claim + flag read + flag write, with the same winner-takes-the-
  *    vertex race.
- *  - pull (par::edgeMapPull, heavy kAdaptive rounds / kPull):
+ *  - pull (par::edgeMapPull, kAdaptive's heavy rounds only):
  *    undiscovered vertices scan their own neighbors against the
  *    front bitmap and adopt the first in-front neighbor as parent,
  *    stopping the scan there. On the heavy middle levels of a

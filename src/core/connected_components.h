@@ -17,7 +17,7 @@
  *    folds the minimum label over its whole neighborhood, improving
  *    itself under its lock. O(E) per round and O(diameter) rounds,
  *    which is the structure the simulator figures measure.
- *  - every other mode (kSparse, kAdaptive, kPull): one work-efficient
+ *  - every other mode (kSparse, kAdaptive): one work-efficient
  *    hook-and-compress kernel, Afforest (Sutton et al., IPDPS 2018;
  *    the GAP suite's reference CC). Labels are parent pointers. Two
  *    sampling rounds each link every vertex with one neighbor (a

@@ -26,8 +26,7 @@
  *    the pass reads only values frozen by the previous barrier). No
  *    accumulator locks, no shared cursor, no write contention: every
  *    write is owner-exclusive, and the result is deterministic —
- *    bit-identical at any thread count, with or without a blocked
- *    layout (which this mode ignores) — where scatter's lock-ordered
+ *    bit-identical at any thread count — where scatter's lock-ordered
  *    floating-point adds are not.
  *
  * Iterations are separated by barriers in both modes.

@@ -57,7 +57,7 @@ makeReordered(const WorkloadConfig& cfg)
     return graph::reorderGraph(
         makeGraph(cfg.kind, cfg.graph_vertices, cfg.edges_per_vertex,
                   cfg.seed),
-        cfg.reordering, cfg.blocked_layout);
+        cfg.reordering);
 }
 
 } // namespace

@@ -51,8 +51,6 @@ struct WorkloadConfig {
      * and permutation() maps per-vertex results back.
      */
     graph::Reordering reordering = graph::Reordering::kNone;
-    /** Attach the cache-blocked pull layout to the CSR graph. */
-    bool blocked_layout = false;
 };
 
 /** Owns the inputs for one configuration of the full suite. */

@@ -168,7 +168,7 @@ GraphBuilder::addEdge(VertexId src, VertexId dst, Weight weight)
 Graph
 GraphBuilder::build(DedupPolicy policy) &&
 {
-    if (reordering_ != Reordering::kNone || blockedLayout_) {
+    if (reordering_ != Reordering::kNone) {
         return std::move(*this).buildReordered(policy).graph;
     }
     return std::move(*this).buildPlain(policy);
@@ -178,9 +178,8 @@ ReorderedGraph
 GraphBuilder::buildReordered(DedupPolicy policy) &&
 {
     const Reordering r = reordering_;
-    const bool blocked = blockedLayout_;
     Graph plain = std::move(*this).buildPlain(policy);
-    return reorderGraph(plain, r, blocked);
+    return reorderGraph(plain, r);
 }
 
 Graph

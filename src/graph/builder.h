@@ -68,14 +68,6 @@ class GraphBuilder {
         return *this;
     }
 
-    /** Attach the cache-blocked pull layout to the finished graph. */
-    GraphBuilder&
-    withBlockedLayout(bool enabled = true)
-    {
-        blockedLayout_ = enabled;
-        return *this;
-    }
-
     /** Finalize into a CSR graph, consuming the builder. */
     Graph build(DedupPolicy policy = DedupPolicy::keepMin) &&;
 
@@ -95,7 +87,6 @@ class GraphBuilder {
     VertexId numVertices_;
     bool undirected_;
     Reordering reordering_ = Reordering::kNone;
-    bool blockedLayout_ = false;
 };
 
 } // namespace crono::graph

@@ -14,16 +14,12 @@
 #define CRONO_GRAPH_GRAPH_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 
 #include "common/aligned.h"
 #include "common/macros.h"
 
 namespace crono::graph {
-
-class BlockedCsr;
 
 /** Vertex identifier. Dense, in [0, numVertices). */
 using VertexId = std::uint32_t;
@@ -116,26 +112,10 @@ class Graph {
     const AlignedVector<VertexId>& rawNeighbors() const { return neighbors_; }
     const AlignedVector<Weight>& rawWeights() const { return weights_; }
 
-    /**
-     * Attach a cache-blocked pull layout (see blocked_csr.h) covering
-     * the same edges. Derived data, not topology: the graph stays
-     * immutable in every way kernels can observe, and rt::par's pull
-     * primitives pick the layout up via blockedLayout().
-     */
-    void
-    attachBlockedLayout(std::shared_ptr<const BlockedCsr> layout)
-    {
-        blocked_ = std::move(layout);
-    }
-
-    /** The attached blocked layout, or nullptr. */
-    const BlockedCsr* blockedLayout() const { return blocked_.get(); }
-
   private:
     AlignedVector<EdgeId> offsets_;
     AlignedVector<VertexId> neighbors_;
     AlignedVector<Weight> weights_;
-    std::shared_ptr<const BlockedCsr> blocked_;
     VertexId numVertices_;
     bool undirected_;
 };

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/blocked_csr.h"
 #include "obs/telemetry.h"
 
 namespace crono::graph {
@@ -294,15 +293,11 @@ permuteMatrix(const AdjacencyMatrix& m, const VertexPermutation& perm)
 }
 
 ReorderedGraph
-reorderGraph(const Graph& g, Reordering r, bool blocked)
+reorderGraph(const Graph& g, Reordering r, bool)
 {
     const auto start = std::chrono::steady_clock::now();
     VertexPermutation perm = computeOrdering(g, r);
     Graph relabeled = permuteGraph(g, perm);
-    if (blocked) {
-        relabeled.attachBlockedLayout(std::make_shared<const BlockedCsr>(
-            relabeled, BlockedCsr::defaultBinBits(g.numVertices())));
-    }
     const auto elapsed =
         std::chrono::steady_clock::now() - start;
     if (obs::Track* const track =

@@ -28,7 +28,6 @@
 #ifndef CRONO_GRAPH_REORDER_H_
 #define CRONO_GRAPH_REORDER_H_
 
-#include <memory>
 #include <span>
 
 #include "graph/adjacency_matrix.h"
@@ -163,14 +162,15 @@ struct ReorderedGraph {
 };
 
 /**
- * One-call reordering front end: compute the @p r ordering, relabel,
- * and (optionally) attach a cache-blocked pull layout (see
- * blocked_csr.h). Records the elapsed time on the host telemetry
- * track (Counter::kReorderMs) when a sink is installed. @p blocked
- * also works with r == kNone (layout without relabeling).
+ * One-call reordering front end: compute the @p r ordering and
+ * relabel. Records the elapsed time on the host telemetry track
+ * (Counter::kReorderMs) when a sink is installed.
+ *
+ * The trailing bool is ignored. It once attached a cache-blocked pull
+ * layout; perfbench's prepare() is its only remaining caller, and
+ * ROADMAP's "Next benchmark PR" item drops it there and here.
  */
-ReorderedGraph reorderGraph(const Graph& g, Reordering r,
-                            bool blocked = false);
+ReorderedGraph reorderGraph(const Graph& g, Reordering r, bool = false);
 
 /**
  * Adjacency bandwidth max_{(u,v) in E} |u - v| — the quantity RCM

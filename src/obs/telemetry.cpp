@@ -64,8 +64,6 @@ counterName(Counter c)
         return "branches";
       case Counter::kReorderMs:
         return "reorder_ms";
-      case Counter::kBlockFills:
-        return "block_fills";
       case Counter::kBucketSteps:
         return "bucket_steps";
       case Counter::kStaleSkips:

@@ -97,7 +97,6 @@ enum class Counter : std::uint8_t {
     kTriangles,        ///< triangles enumerated (each exactly once)
     kBranches,         ///< B&B (TSP/MCS) search-tree nodes visited
     kReorderMs,        ///< milliseconds spent reordering a graph
-    kBlockFills,       ///< (bin, destination) entries in blocked layouts
     kBucketSteps,      ///< delta-stepping light-bucket phases executed
     kStaleSkips,       ///< delta-stepping bucket entries superseded
     kHeavyRelaxations, ///< delta-stepping heavy-edge relaxations tried
@@ -109,7 +108,7 @@ enum class Counter : std::uint8_t {
     kServeCompactions, ///< serve: delta compactions folded
 };
 
-inline constexpr int kNumCounters = 30;
+inline constexpr int kNumCounters = 29;
 
 /** Printable counter name, e.g. "steal_chunks". */
 const char* counterName(Counter c);

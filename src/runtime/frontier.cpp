@@ -16,8 +16,6 @@ frontierModeName(FrontierMode mode)
         return "sparse";
       case FrontierMode::kAdaptive:
         return "adaptive";
-      case FrontierMode::kPull:
-        return "pull";
     }
     return "unknown";
 }

@@ -152,7 +152,6 @@ class FrontierEngine {
     {
         switch (mode_) {
           case FrontierMode::kFlagScan:
-          case FrontierMode::kPull:
             return true;
           case FrontierMode::kSparse:
             return false;
@@ -182,8 +181,6 @@ class FrontierEngine {
             return RoundPlan::kDensePush;
           case FrontierMode::kSparse:
             return RoundPlan::kSparsePush;
-          case FrontierMode::kPull:
-            return allow_pull ? RoundPlan::kPull : RoundPlan::kDensePush;
           case FrontierMode::kAdaptive:
             if (allow_pull && front_size > pullThreshold_) {
                 return RoundPlan::kPull;
@@ -467,10 +464,9 @@ class FrontierEngine {
     /**
      * Count @p v toward this thread's pending activations and, in the
      * queue-backed modes (kSparse/kAdaptive), append it to the
-     * parity-@p next work list. kFlagScan/kPull rounds are always
-     * consumed through the flag arrays, so maintaining queues there
-     * would only add unmodeled bookkeeping the paper's structure does
-     * not have.
+     * parity-@p next work list. kFlagScan rounds are always consumed
+     * through the flag arrays, so maintaining queues there would only
+     * add unmodeled bookkeeping the paper's structure does not have.
      */
     template <class Ctx>
     void
@@ -505,7 +501,7 @@ class FrontierEngine {
     FrontierMode mode_;
     std::uint64_t denseThreshold_;
     std::uint64_t pullThreshold_;
-    /** Work lists maintained? False for kFlagScan/kPull (flags only). */
+    /** Work lists maintained? False for kFlagScan (flags only). */
     bool useQueues_;
     /** Previous round's representation (thread 0 only, telemetry). */
     bool lastDense_ = false;

@@ -13,7 +13,7 @@
  *  - vertexMap / vertexMapStriped: graph division (static block /
  *    cyclic stripe) — pure index arithmetic, no shared traffic.
  *  - degreeBalancedRange: static graph division balanced by edge
- *    count (blocked pull, gather PageRank).
+ *    count (gather PageRank).
  *  - vertexMapCapture: the paper's vertex-capture idiom — one RMW per
  *    item on a shared cursor whose cache line deliberately ping-pongs.
  *  - edgeMapPush / edgeMapPull / edgeMapPullAll: frontier traversal in
@@ -46,9 +46,7 @@
 
 #include "common/aligned.h"
 #include "common/macros.h"
-// crono-lint: allow(include-layering): the edgeMap primitives are defined over the CSR/blocked-CSR types themselves — this runtime→graph edge is the one acknowledged exception to the DAG (splitting traversal out of rt::par would fork the primitive set)
-#include "graph/blocked_csr.h"
-// crono-lint: allow(include-layering): same acknowledged runtime→graph exception as blocked_csr.h above
+// crono-lint: allow(include-layering): the edgeMap primitives are defined over the CSR types themselves — this runtime→graph edge is the one acknowledged exception to the DAG (splitting traversal out of rt::par would fork the primitive set)
 #include "graph/graph.h"
 #include "obs/telemetry.h"
 #include "runtime/frontier.h"
@@ -71,21 +69,13 @@ struct Csr {
     const graph::Weight* weights = nullptr;
     std::uint64_t num_vertices = 0;
     std::uint64_t num_edges = 0;
-
-    /**
-     * Cache-blocked pull layout attached to the graph, or nullptr.
-     * When present, edgeMapPull / edgeMapPullAll iterate it bin-major
-     * — see their contract notes.
-     */
-    const graph::BlockedCsr* blocked = nullptr;
 };
 
 inline Csr
 csrOf(const graph::Graph& g)
 {
     return {g.rawOffsets().data(), g.rawNeighbors().data(),
-            g.rawWeights().data(), g.numVertices(), g.numEdges(),
-            g.blockedLayout()};
+            g.rawWeights().data(), g.numVertices(), g.numEdges()};
 }
 
 // -------------------------------------------------------- vertex maps
@@ -121,10 +111,10 @@ vertexMapStriped(Ctx& ctx, std::uint64_t total, Fn&& fn)
  * This thread's contiguous destination-id range, balanced by edge
  * count rather than vertex count: reordered graphs pack the hubs into
  * the lowest ids, where a vertex-count split would hand one thread
- * most of the edges. Blocked pull iteration and gather PageRank own
- * their destinations through it. Pure scheduling arithmetic over the
- * immutable offsets array (like blockPartition, not modeled traffic);
- * deterministic, so ownership is stable for the whole invocation.
+ * most of the edges. Gather PageRank owns its destinations through
+ * it. Pure scheduling arithmetic over the immutable offsets array
+ * (like blockPartition, not modeled traffic); deterministic, so
+ * ownership is stable for the whole invocation.
  */
 template <class Ctx>
 Range
@@ -241,52 +231,6 @@ pullVertex(Ctx& ctx, const Csr& g, graph::VertexId v, Member&& member,
     post(v);
 }
 
-/**
- * Bin-major traversal of the blocked layout: for every bin, this
- * thread runs pre / edge / post over the bin's destinations inside
- * its own id range. Destination ownership (degreeBalancedRange) is
- * identical in every bin, so post() stays owner-exclusive; `e` values
- * index the layout's neighbors()/weights() arrays.
- */
-template <class Ctx, class Member, class Pre, class Edge, class Post>
-void
-pullBlocked(Ctx& ctx, const Csr& g, Member&& member, Pre&& pre,
-            Edge&& edge, Post&& post)
-{
-    const Range range = degreeBalancedRange(ctx, g);
-    const graph::BlockedCsr& layout = *g.blocked;
-    const graph::VertexId* const nbrs = layout.neighbors().data();
-    for (int b = 0; b < layout.numBins(); ++b) {
-        const graph::BlockedCsr::Bin& bin = layout.bin(b);
-        const auto lo = std::lower_bound(
-            bin.dsts.begin(), bin.dsts.end(),
-            static_cast<graph::VertexId>(range.begin));
-        const auto hi = std::lower_bound(
-            lo, bin.dsts.end(), static_cast<graph::VertexId>(range.end));
-        for (auto it = lo; it != hi; ++it) {
-            const graph::VertexId v = ctx.read(*it);
-            if (!pre(v)) {
-                continue;
-            }
-            const auto di =
-                static_cast<std::size_t>(it - bin.dsts.begin());
-            const graph::EdgeId beg = ctx.read(bin.offsets[di]);
-            const graph::EdgeId end = ctx.read(bin.offsets[di + 1]);
-            for (graph::EdgeId e = beg; e < end; ++e) {
-                const graph::VertexId u = ctx.read(nbrs[e]);
-                ctx.work(1);
-                if (!member(u)) {
-                    continue;
-                }
-                if (edge(v, u, e)) {
-                    break;
-                }
-            }
-            post(v);
-        }
-    }
-}
-
 } // namespace detail
 
 /**
@@ -304,15 +248,6 @@ pullBlocked(Ctx& ctx, const Csr& g, Member&& member, Pre&& pre,
  * The primitive charges ctx.work(1) per scanned edge (the pull path
  * is new; there is no hand-rolled cost profile to preserve) and bumps
  * kPullRounds / records a "round-pull" span.
- *
- * Blocked contract: when g.blocked is set, the traversal is bin-major
- * and pre / edge / post run once per (bin, vertex) pair instead of
- * once per vertex — the same thread owns a vertex in every bin, so
- * post stays owner-exclusive, but the per-vertex fold MUST be
- * incremental: pre re-reads current state, post folds a partial
- * result into it (BFS's set-once claim and CC's monotone min both
- * qualify; an overwrite like "result = partial sum" does not). `e`
- * then indexes the blocked layout's arrays, not the graph's.
  */
 template <class Ctx, class Pre, class Edge, class Post>
 void
@@ -328,15 +263,11 @@ edgeMapPull(Ctx& ctx, const Csr& g, FrontierEngine& engine,
     const auto member = [&](graph::VertexId u) {
         return engine.inCurrent(ctx, round, u);
     };
-    if (g.blocked != nullptr) {
-        detail::pullBlocked(ctx, g, member, pre, edge, post);
-    } else {
-        const Range range =
-            blockPartition(g.num_vertices, ctx.tid(), ctx.nthreads());
-        for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
-            const auto v = static_cast<graph::VertexId>(vi);
-            detail::pullVertex(ctx, g, v, member, pre, edge, post);
-        }
+    const Range range =
+        blockPartition(g.num_vertices, ctx.tid(), ctx.nthreads());
+    for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
+        const auto v = static_cast<graph::VertexId>(vi);
+        detail::pullVertex(ctx, g, v, member, pre, edge, post);
     }
     if (track != nullptr) {
         obs::spanRecord(track, {begin, ctx.timestamp(), "round-pull",
@@ -348,9 +279,7 @@ edgeMapPull(Ctx& ctx, const Csr& g, FrontierEngine& engine,
  * Frontier-less dense gather over this thread's static block: every
  * vertex passing @p pre scans all neighbors (no membership probe, no
  * early exit unless @p edge returns true). This is the paper's
- * pull-style full-rescan structure (connected components). The
- * blocked per-(bin, vertex) contract of edgeMapPull applies here too
- * when g.blocked is set.
+ * pull-style full-rescan structure (connected components).
  */
 template <class Ctx, class Pre, class Edge, class Post>
 void
@@ -358,10 +287,6 @@ edgeMapPullAll(Ctx& ctx, const Csr& g, Pre&& pre, Edge&& edge,
                Post&& post)
 {
     const auto all = [](graph::VertexId) { return true; };
-    if (g.blocked != nullptr) {
-        detail::pullBlocked(ctx, g, all, pre, edge, post);
-        return;
-    }
     const Range range =
         blockPartition(g.num_vertices, ctx.tid(), ctx.nthreads());
     for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {

@@ -40,23 +40,17 @@ namespace crono::rt {
  *    sparse again once the front shrinks below that threshold, and
  *    pull-side (direction-optimized, for kernels that support it)
  *    once the front exceeds the pull threshold (see
- *    rt::pullFrontThreshold).
- *  - kPull: always consume rounds pull-side where the kernel supports
- *    it (destinations scan their in-neighbors against the dense front
- *    bitmap); kernels without a pull formulation fall back to dense
- *    push. Mostly a debugging / benchmarking mode — kAdaptive is the
- *    production direction-optimizing policy.
+ *    rt::pullFrontThreshold). This is the only mode with pull rounds.
  */
 enum class FrontierMode : int {
     kFlagScan = 0,
     kSparse = 1,
     kAdaptive = 2,
-    kPull = 3,
 };
 
 /**
  * Human-readable name of @p mode
- * ("flagscan" / "sparse" / "adaptive" / "pull").
+ * ("flagscan" / "sparse" / "adaptive").
  */
 const char* frontierModeName(FrontierMode mode);
 

@@ -22,8 +22,8 @@ GraphStore::GraphStore(graph::Graph external, StoreConfig config)
                   "store needs at least one shard");
     numVertices_ = external.numVertices();
     undirected_ = external.undirected();
-    graph::ReorderedGraph rg = graph::reorderGraph(
-        external, config_.reordering, config_.blocked_layout);
+    graph::ReorderedGraph rg =
+        graph::reorderGraph(external, config_.reordering);
     graph_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
     perm_ = std::make_shared<const graph::VertexPermutation>(
         std::move(rg.perm));
@@ -124,8 +124,8 @@ GraphStore::compactLocked()
         // Relabeling moves vertex ids, never edges: the multiset is
         // unchanged, and external -> old internal -> new internal is
         // the composed permutation.
-        graph::ReorderedGraph rg = graph::reorderGraph(
-            *graph_, config_.reordering, config_.blocked_layout);
+        graph::ReorderedGraph rg =
+            graph::reorderGraph(*graph_, config_.reordering);
         graph_ = std::make_shared<const graph::Graph>(std::move(rg.graph));
         perm_ = std::make_shared<const graph::VertexPermutation>(
             perm_->composedWith(rg.perm));

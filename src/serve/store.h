@@ -14,8 +14,8 @@
  *    undirected, sorts it, merges it into a copy of the current CSR
  *    (mergeBatch) and publishes epoch+1 over the merged graph.
  *  - Compaction runs on the same writer mutex: it re-runs the
- *    configured Reordering and blocked layout on the current graph
- *    (graph/reorder.h, applied to the grown graph) and publishes
+ *    configured Reordering on the current graph (graph/reorder.h,
+ *    applied to the grown graph) and publishes
  *    it under the current permutation composed with the new one.
  *    Relabeling moves vertex ids, never edges, so the edge multiset
  *    is preserved exactly and compaction is semantically invisible:
@@ -53,8 +53,6 @@ struct StoreConfig {
     int num_shards = 1;
     /** Ordering applied at build and re-applied on every compaction. */
     graph::Reordering reordering = graph::Reordering::kNone;
-    /** Attach the bin-major blocked pull layout at build and compaction. */
-    bool blocked_layout = true;
     /** Compact once this many directed slots arrived since the last. */
     std::uint64_t compact_delta_edges = 1u << 16;
     /** ... or this many batches, whichever comes first. */

@@ -166,8 +166,7 @@ TEST(CcHookModes, EveryNonFlagScanModeRunsTheSameKernel)
     const std::vector<VertexId> want = core::seq::componentLabels(g);
     rt::NativeExecutor exec(4);
     for (const FrontierMode mode :
-         {FrontierMode::kSparse, FrontierMode::kAdaptive,
-          FrontierMode::kPull}) {
+         {FrontierMode::kSparse, FrontierMode::kAdaptive}) {
         SCOPED_TRACE(rt::frontierModeName(mode));
         const auto got =
             core::connectedComponents(exec, 4, g, nullptr, mode);

@@ -2,10 +2,9 @@
  * @file
  * Randomized differential harness for the reordering subsystem
  * (ISSUE 5): for a sweep of seeds, generate road / uniform / social
- * graphs, relabel them under every Reordering (blocked layout
- * attached, so the bin-major pull paths execute), run all
- * ten kernels under their FrontierMode / PageRankMode sweeps, and
- * check the results are permutation-invariant against the
+ * graphs, relabel them under every Reordering, run all ten kernels
+ * under their FrontierMode / PageRankMode sweeps, and check the
+ * results are permutation-invariant against the
  * core::sequential oracles computed on the ORIGINAL graph:
  *
  *  - exact equality after inverse-mapping for distances, levels,
@@ -54,9 +53,9 @@ using graph::VertexId;
 using graph::VertexPermutation;
 using rt::FrontierMode;
 
-const FrontierMode kAllModes[] = {
-    FrontierMode::kFlagScan, FrontierMode::kSparse,
-    FrontierMode::kAdaptive, FrontierMode::kPull};
+const FrontierMode kAllModes[] = {FrontierMode::kFlagScan,
+                                  FrontierMode::kSparse,
+                                  FrontierMode::kAdaptive};
 
 int
 envInt(const char* name, int fallback)
@@ -221,8 +220,8 @@ checkBfs(Exec& exec, int threads, const graph::Graph& g,
             ASSERT_EQ(level[v], oracle[v]) << "v " << v;
         }
         // Parents are tie-broken (push races, pull takes first
-        // in-front, blocked pull folds bin-major): validity predicate
-        // in the relabeled space instead of equality.
+        // in-front): validity predicate in the relabeled space instead
+        // of equality.
         checkBfsTree(rg.graph, res, rg.perm.toNew(0));
     }
 }
@@ -309,8 +308,7 @@ checkPageRank(Exec& exec, int threads, const graph::Graph& g,
         const auto rank = rg.perm.valuesToOld(asSpan(res.rank));
         for (VertexId v = 0; v < g.numVertices(); ++v) {
             // Relabeling permutes the FP summation order, so exact
-            // equality is not defined. (The gather ignores the
-            // blocked layout and sums each row in CSR order.)
+            // equality is not defined.
             ASSERT_NEAR(rank[v], oracle[v], 1e-9) << "v " << v;
         }
     }
@@ -433,8 +431,7 @@ class Differential : public ::testing::TestWithParam<std::string> {
                 GetParam(), static_cast<std::uint64_t>(seed), false);
             for (const Reordering r : graph::allReorderings()) {
                 SCOPED_TRACE(graph::reorderingName(r));
-                const graph::ReorderedGraph rg =
-                    graph::reorderGraph(g, r, /*blocked=*/true);
+                const graph::ReorderedGraph rg = graph::reorderGraph(g, r);
                 fn(exec, g, rg);
             }
         }
@@ -541,7 +538,7 @@ TEST(DifferentialMatrix, ApspBetweennessTspMcs)
 /**
  * The same differential properties under the simulated Ctx, on
  * catalog-size inputs (the simulator models every shared access):
- * proof that the blocked/reordered paths' ctx.read/write discipline
+ * proof that the reordered paths' ctx.read/write discipline
  * did not change any algorithm. Reduced ordering set and seed count;
  * suite named "Sim" for the TSan filter.
  */
@@ -554,7 +551,7 @@ TEST_P(DifferentialSim, AllCsrKernels)
                                      Reordering::kDegreeSort,
                                      Reordering::kRcm};
     const FrontierMode kSimModes[] = {FrontierMode::kFlagScan,
-                                      FrontierMode::kPull};
+                                      FrontierMode::kAdaptive};
     sim::Machine machine(test::smallSimConfig());
     for (int seed = 0; seed < simSeeds(); ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -562,8 +559,7 @@ TEST_P(DifferentialSim, AllCsrKernels)
             GetParam(), static_cast<std::uint64_t>(seed), true);
         for (const Reordering r : kOrderings) {
             SCOPED_TRACE(graph::reorderingName(r));
-            const graph::ReorderedGraph rg =
-                graph::reorderGraph(g, r, /*blocked=*/true);
+            const graph::ReorderedGraph rg = graph::reorderGraph(g, r);
             checkSssp(machine, kThreads, g, rg,
                       std::span<const FrontierMode>(kSimModes, 1));
             checkBfs(machine, kThreads, g, rg, kSimModes);

@@ -100,6 +100,31 @@ TEST(FrontierEngine_, DenseRoundPerMode)
     EXPECT_TRUE(adaptive.denseRound(33));
 }
 
+TEST(FrontierEngine_, PlanRoundPerMode)
+{
+    using rt::RoundPlan;
+    // V = 1024, E = 8192: pull above V / 20 = 51, dense above 32.
+    FrontierEngine scan(1024, 8192, 1, FrontierMode::kFlagScan);
+    FrontierEngine sparse(1024, 8192, 1, FrontierMode::kSparse);
+    FrontierEngine adaptive(1024, 8192, 1, FrontierMode::kAdaptive);
+    ASSERT_EQ(rt::pullFrontThreshold(1024), 51u);
+    // Only kAdaptive ever plans a pull round.
+    EXPECT_EQ(scan.planRound(1024, true), RoundPlan::kDensePush);
+    EXPECT_EQ(scan.planRound(1, true), RoundPlan::kDensePush);
+    EXPECT_EQ(sparse.planRound(1024, true), RoundPlan::kSparsePush);
+    EXPECT_EQ(sparse.planRound(1, true), RoundPlan::kSparsePush);
+    // Both thresholds are exclusive.
+    EXPECT_EQ(adaptive.planRound(1024, true), RoundPlan::kPull);
+    EXPECT_EQ(adaptive.planRound(52, true), RoundPlan::kPull);
+    EXPECT_EQ(adaptive.planRound(51, true), RoundPlan::kDensePush);
+    EXPECT_EQ(adaptive.planRound(33, true), RoundPlan::kDensePush);
+    EXPECT_EQ(adaptive.planRound(32, true), RoundPlan::kSparsePush);
+    // Without a pull formulation the push-only policy applies.
+    EXPECT_EQ(adaptive.planRound(1024, false), RoundPlan::kDensePush);
+    EXPECT_EQ(adaptive.planRound(52, false), RoundPlan::kDensePush);
+    EXPECT_EQ(adaptive.planRound(32, false), RoundPlan::kSparsePush);
+}
+
 TEST(FrontierEngine_, SeedIsIdempotentAndDrainsSparse)
 {
     FrontierEngine f(1000, 2000, 1, FrontierMode::kSparse);

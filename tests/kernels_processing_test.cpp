@@ -216,8 +216,7 @@ sameBits(const AlignedVector<double>& got, const std::vector<double>& want)
  * Gather inputs: "social", "road", and a graph whose isolated
  * vertices 6..9 a degree sort moves into a zero-degree tail at the
  * highest ids (with 8 threads on its 10 vertices some threads own
- * nothing). Each is degree-sorted, with and without the blocked
- * layout; both layouts share one CSR.
+ * nothing). Each is degree-sorted.
  */
 std::vector<std::pair<std::string, graph::ReorderedGraph>>
 gatherInputs()
@@ -233,21 +232,15 @@ gatherInputs()
     raw.emplace_back("isolated-tail", std::move(tiny).build());
     std::vector<std::pair<std::string, graph::ReorderedGraph>> out;
     for (const auto& [name, g] : raw) {
-        for (const bool blocked : {false, true}) {
-            out.emplace_back(
-                name + (blocked ? " blocked" : " plain"),
-                graph::reorderGraph(g, graph::Reordering::kDegreeSort,
-                                    blocked));
-            EXPECT_EQ(out.back().second.graph.blockedLayout() != nullptr,
-                      blocked);
-        }
+        out.emplace_back(
+            name, graph::reorderGraph(g, graph::Reordering::kDegreeSort));
     }
     return out;
 }
 
 constexpr unsigned kGatherIters = 6;
 
-TEST(PageRank, GatherBitIdenticalAcrossThreadsAndLayouts)
+TEST(PageRank, GatherBitIdenticalAcrossThreads)
 {
     for (const auto& [name, rg] : gatherInputs()) {
         SCOPED_TRACE(name);
@@ -265,7 +258,7 @@ TEST(PageRank, GatherBitIdenticalAcrossThreadsAndLayouts)
 
 // Kept apart from the native sweep: the TSan run skips *Sim* tests
 // (it cannot follow fiber switches) but still runs the native one.
-TEST(PageRank, SimulatorGatherBitIdenticalAcrossLayouts)
+TEST(PageRank, SimulatorGatherBitIdenticalToCsrOrder)
 {
     for (const auto& [name, rg] : gatherInputs()) {
         SCOPED_TRACE(name);

@@ -2,8 +2,8 @@
  * @file
  * Push/pull equivalence properties for the rt::par edge maps: the
  * same kernel run under every FrontierMode — push-only flag scan,
- * sparse work lists, forced pull, and the adaptive
- * direction-optimizing dispatcher — must produce identical results on
+ * sparse work lists, and the adaptive direction-optimizing
+ * dispatcher — must produce identical results on
  * road, uniform-random and social (power-law) generators, across
  * thread counts, in both the native and the simulated execution
  * contexts. Levels/distances/labels are compared exactly; BFS parents
@@ -23,8 +23,10 @@
 
 #include "core/bfs.h"
 #include "core/connected_components.h"
+#include "core/sequential.h"
 #include "core/sssp.h"
 #include "graph/generators.h"
+#include "obs/telemetry.h"
 #include "runtime/executor.h"
 #include "tests/kernel_test_util.h"
 
@@ -34,9 +36,9 @@ namespace {
 using rt::FrontierMode;
 
 /** Every traversal mode, baseline (flag scan) first. */
-const FrontierMode kAllModes[] = {
-    FrontierMode::kFlagScan, FrontierMode::kSparse,
-    FrontierMode::kAdaptive, FrontierMode::kPull};
+const FrontierMode kAllModes[] = {FrontierMode::kFlagScan,
+                                  FrontierMode::kSparse,
+                                  FrontierMode::kAdaptive};
 
 /**
  * Larger-than-catalog instances so the adaptive policy actually
@@ -147,6 +149,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("road", "uniform", "social"),
                        ::testing::Values(1, 4)),
     test::graphThreadsName);
+
+/**
+ * kAdaptive is the only mode with pull rounds, so the pull edge map
+ * is covered only if its policy actually picks one: on the catalog
+ * social graph the heavy middle levels must go pull-side, and the
+ * levels must still equal the sequential reference. The round count
+ * comes from telemetry, so a CRONO_TELEMETRY=OFF build checks the
+ * levels only.
+ */
+TEST(AdaptivePull, SocialBfsTakesPullRoundsWithSequentialLevels)
+{
+    const graph::Graph g = test::makeGraph("social");
+    const auto want = core::seq::bfsLevels(g, 0);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        obs::TelemetrySession session;
+        rt::NativeExecutor exec(threads);
+        const auto got = core::bfs(exec, threads, g, 0, graph::kNoVertex,
+                                   nullptr, FrontierMode::kAdaptive);
+        for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+            ASSERT_EQ(got.level[v], want[v]) << "v " << v;
+        }
+        checkBfsTree(g, got, 0);
+#if !defined(CRONO_TELEMETRY_DISABLED)
+        EXPECT_GT(
+            session.recorder().totalCounter(obs::Counter::kPullRounds),
+            0u);
+#endif
+    }
+}
 
 /**
  * Simulated-context half of the property: the same mode sweep on the

@@ -85,7 +85,7 @@ sweepBenchmark(sim::Machine& machine, RaceDetector& det,
     if (frontier_driven) {
         for (const rt::FrontierMode mode :
              {rt::FrontierMode::kFlagScan, rt::FrontierMode::kSparse,
-              rt::FrontierMode::kAdaptive, rt::FrontierMode::kPull}) {
+              rt::FrontierMode::kAdaptive}) {
             w.frontier_mode = mode;
             runOne(rt::frontierModeName(mode));
         }
@@ -127,22 +127,21 @@ TEST(RaceDetectorSweep, AllKernelsAllModesHaveNoUnsuppressedRaces)
         << analysis::racesJson(det);
 }
 
-TEST(RaceDetectorSweep, ReorderedBlockedLayoutHasNoUnsuppressedRaces)
+TEST(RaceDetectorSweep, DegreeSortedSocialHasNoUnsuppressedRaces)
 {
-    // The blocked bin-major pull paths change which thread
-    // touches which (vertex, edge) pair; one full kernel sweep on a
-    // degree-sorted social graph with the blocked layout attached
-    // proves the new iteration order kept the ownership discipline.
+    // Degree sorting packs the hubs into the lowest ids, which changes
+    // which thread touches which (vertex, edge) pair under the static
+    // divisions; one full kernel sweep on a degree-sorted social graph
+    // proves the ownership discipline does not depend on id order.
     sim::Machine machine(test::smallSimConfig());
     RaceDetector det(loadAllowlist());
     machine.setObserver(&det);
 
     core::WorkloadConfig wc = sweepConfig(core::GraphKind::social);
     wc.reordering = graph::Reordering::kDegreeSort;
-    wc.blocked_layout = true;
     const core::WorkloadSet set(wc);
     for (const auto& info : core::allBenchmarks()) {
-        sweepBenchmark(machine, det, set, info, "social+degree+blocked");
+        sweepBenchmark(machine, det, set, info, "social+degree");
     }
 
     EXPECT_EQ(det.unsuppressedCount(), 0u)

@@ -2,10 +2,10 @@
  * @file
  * Unit tests for the reordering subsystem: VertexPermutation round
  * trips and composition, ordering-specific structure (degree-sort
- * monotonicity, hub clustering, RCM bandwidth reduction), blocked-CSR
- * edge-set equality with the plain CSR, and the relabeling invariance
- * of graph::stats (the regression ISSUE 5 asks for: any statistic that
- * silently depended on vertex labeling fails here).
+ * monotonicity, hub clustering, RCM bandwidth reduction), the
+ * GraphBuilder's reordering option, and the relabeling invariance of
+ * graph::stats: any statistic that silently depended on vertex
+ * labeling fails here.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "graph/blocked_csr.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/reorder.h"
@@ -206,56 +205,7 @@ TEST(Reorder, EveryOrderingIsAValidPermutation)
     }
 }
 
-TEST(BlockedCsr, EdgeSetEqualsPlainCsr)
-{
-    const graph::Graph g = gen::socialNetwork(9, 6, 13);
-    const graph::BlockedCsr layout(g, /*bin_bits=*/4);
-    ASSERT_EQ(layout.numEdges(), g.numEdges());
-
-    std::multiset<std::tuple<VertexId, VertexId, graph::Weight>> got;
-    const auto& nbrs = layout.neighbors();
-    const auto& wts = layout.weights();
-    for (int b = 0; b < layout.numBins(); ++b) {
-        const graph::BlockedCsr::Bin& bin = layout.bin(b);
-        ASSERT_EQ(bin.offsets.size(), bin.dsts.size() + 1);
-        EXPECT_TRUE(
-            std::is_sorted(bin.dsts.begin(), bin.dsts.end())) << b;
-        for (std::size_t i = 0; i < bin.dsts.size(); ++i) {
-            ASSERT_LT(bin.offsets[i], bin.offsets[i + 1]) << b;
-            for (graph::EdgeId e = bin.offsets[i];
-                 e < bin.offsets[i + 1]; ++e) {
-                // Every source in this bin falls in the bin's window.
-                ASSERT_EQ(nbrs[e] >> layout.binBits(),
-                          static_cast<VertexId>(b));
-                got.emplace(bin.dsts[i], nbrs[e], wts[e]);
-            }
-        }
-    }
-    EXPECT_EQ(got, edgeMultiset(g));
-    // binFills counts (bin, destination) entries; recompute it from
-    // the plain CSR (distinct source bins per sorted row).
-    std::uint64_t expect_fills = 0;
-    for (VertexId v = 0; v < g.numVertices(); ++v) {
-        const auto ns = g.neighbors(v);
-        for (std::size_t i = 0; i < ns.size(); ++i) {
-            if (i == 0 || (ns[i] >> 4) != (ns[i - 1] >> 4)) {
-                ++expect_fills;
-            }
-        }
-    }
-    EXPECT_EQ(layout.binFills(), expect_fills);
-}
-
-TEST(BlockedCsr, SingleBinDegeneratesToWholeGraph)
-{
-    const graph::Graph g = gen::roadNetwork(12, 12, 3);
-    const unsigned bits = graph::BlockedCsr::defaultBinBits(g.numVertices());
-    const graph::BlockedCsr layout(g, bits);
-    EXPECT_EQ(layout.numBins(), 1);
-    ASSERT_EQ(layout.numEdges(), g.numEdges());
-}
-
-TEST(BlockedCsr, BuilderAttachesLayoutAndReordering)
+TEST(Reorder, BuilderAppliesReordering)
 {
     graph::GraphBuilder b(6, true);
     b.addEdge(0, 1, 2);
@@ -263,10 +213,8 @@ TEST(BlockedCsr, BuilderAttachesLayoutAndReordering)
     b.addEdge(2, 3, 4);
     b.addEdge(3, 4, 5);
     b.addEdge(4, 5, 6);
-    b.withReordering(Reordering::kBfs).withBlockedLayout();
+    b.withReordering(Reordering::kBfs);
     const graph::Graph g = std::move(b).build();
-    ASSERT_NE(g.blockedLayout(), nullptr);
-    EXPECT_EQ(g.blockedLayout()->numEdges(), g.numEdges());
     EXPECT_EQ(g.numVertices(), 6u);
     EXPECT_EQ(g.numEdges(), 10u);
 

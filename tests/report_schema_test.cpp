@@ -339,14 +339,14 @@ makeMetricsReport()
     obs::TelemetrySession session;
     const graph::ReorderedGraph rg = graph::reorderGraph(
         graph::generators::socialNetwork(7, 6, 3),
-        graph::Reordering::kDegreeSort, /*blocked=*/true);
+        graph::Reordering::kDegreeSort);
     rt::NativeExecutor exec(2);
     const auto res =
         core::pageRank(exec, 2, rg.graph, 3, 0.15, nullptr,
                        core::PageRankMode::kGather);
     obs::MetricsReport report;
     report.kernel = "PAGE_RANK";
-    report.graph = "social(2^7,ef6)+degree+blocked";
+    report.graph = "social(2^7,ef6)+degree";
     report.threads = 2;
     report.frontier_mode = "gather";
     report.setRuntime(res.run);
@@ -551,7 +551,6 @@ TEST(ReportSchema, MetricsReportDocumentParses)
     const obs::json::Value* counters = doc.find("counters");
     ASSERT_NE(counters, nullptr);
     EXPECT_NE(counters->find("reorder_ms"), nullptr);
-    EXPECT_NE(counters->find("block_fills"), nullptr);
 }
 
 #ifdef CRONO_HAVE_STATICLINT
