@@ -16,27 +16,42 @@
  * this design space: pacing approximates buckets on the round
  * structure; this kernel materializes them.
  *
- * Structure per bucket ("light phase", FrontierEngine-style):
- *  1. rendezvous — every thread publishes the smallest non-empty
- *     bucket of its private bins; after a barrier all threads compute
- *     the same global minimum `curr`;
+ * Parallel structure per bucket step (GAP's sssp.cc), two barriers:
+ *  1. rendezvous — every thread writes the smallest non-empty bucket
+ *     of its private bins to its min_bin slot; after barrier 1 all
+ *     threads read the same global minimum `curr`, and thread 0
+ *     resets the publish cursor the previous step consumed;
  *  2. publish — each thread appends its bins[curr] to a shared
- *     frontier array through a fetchAdd cursor (the same chunked
- *     claim-and-fill idiom as rt::FrontierEngine's sparse queues);
+ *     frontier array through the step's fetchAdd cursor (the same
+ *     claim-and-fill idiom as rt::FrontierEngine's sparse queues),
+ *     then barrier 2;
  *  3. process — the frontier is block-partitioned; each entry whose
- *     distance still lies in the bucket relaxes its *light* edges
- *     (weight <= delta, may re-enter the current bucket) under the
- *     per-vertex lock stripe and is recorded as settled.
- * When `curr` moves past a bucket, each thread flushes the *heavy*
- * edges (weight > delta) of the vertices it settled there exactly
- * once — heavy relaxations provably land in later buckets, so they
- * are deferred out of the in-bucket churn entirely. The light/heavy
- * CSR split is precomputed host-side at delta.
+ *     vertex still holds the entry's distance relaxes all its edges in
+ *     the plain CSR. A relaxation is a compare-and-swap min loop on
+ *     dist, and the winner appends (target, distance) to its own
+ *     bins[cand/delta]. An entry whose vertex was lowered since is
+ *     superseded by the newer entry and skipped, so each (vertex,
+ *     distance) pair is expanded once. No lock is taken, and there is
+ *     no separate heavy-edge phase.
+ * Nothing writes a parent while the buckets drain. After the last
+ * bucket, one edge-balanced pass derives the parents from the final
+ * distances: every edge (u, v, w) with w > 0 and dist[u] + w ==
+ * dist[v] offers u to parent[v] by compareExchange. It pushes over
+ * out-edges, so it also works on a directed CSR. Vertices whose tight
+ * in-edges all weigh 0 get their parents from a serial BFS over
+ * tight zero-weight edges, seeded by the vertices already parented.
+ * Positive tight edges strictly raise dist, and the BFS parents each
+ * vertex from one parented earlier, so the parent graph stays acyclic.
+ *
+ * One thread runs deltaSteppingSerial instead: narrow Dial-like
+ * buckets drained in place, with the heavy edges (weight > delta) of
+ * each settled vertex relaxed once when its bucket closes. The
+ * light/heavy EdgeSplit serves only that path.
  *
  * Like every kernel, the body is a template over the ExecutionContext
  * and runs identically on native threads and the simulator; all
- * shared accesses flow through ctx.*, with the two intentionally racy
- * monotone-filter probes declared via readAtomic.
+ * shared accesses flow through ctx.*, with the intentionally racy
+ * monotone-filter probes on dist declared via readAtomic.
  */
 
 #ifndef CRONO_CORE_DELTA_STEPPING_H_
@@ -44,6 +59,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,6 +69,7 @@
 #include "graph/graph.h"
 #include "obs/telemetry.h"
 #include "runtime/executor.h"
+#include "runtime/par.h"
 
 namespace crono::core {
 
@@ -113,73 +130,90 @@ inline constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 /** Shared state of one delta-stepping run. */
 template <class Ctx>
 struct DeltaSsspState {
-    DeltaSsspState(const graph::Graph& graph, graph::VertexId source,
+    DeltaSsspState(const graph::Graph& graph, graph::VertexId source_in,
                    int nthreads, graph::Dist delta_in,
                    rt::ActiveTracker* tracker_in,
                    const EdgeSplit* split_in = nullptr)
-        : g(graph), dist(graph.numVertices(), graph::kInfDist),
+        : g(graph), source(source_in),
+          dist(graph.numVertices(), graph::kInfDist),
           parent(graph.numVertices(), graph::kNoVertex),
           delta(delta_in == 0 ? autoDelta(graph, nthreads) : delta_in),
-          owned_split(split_in == nullptr
+          owned_split(nthreads == 1 && split_in == nullptr
                           ? splitEdgesAtDelta(graph, delta)
                           : EdgeSplit{}),
           split(split_in == nullptr ? owned_split : *split_in),
-          frontier(nthreads == 1
-                       ? 0
-                       : graph.numEdges() +
-                             static_cast<std::size_t>(nthreads) + 1),
+          frontier_capacity(nthreads == 1
+                                ? 0
+                                : graph.numEdges() +
+                                      static_cast<std::size_t>(nthreads) + 1),
+          frontier(std::make_unique_for_overwrite<Entry[]>(frontier_capacity)),
           min_bin(static_cast<std::size_t>(nthreads)),
-          lanes(static_cast<std::size_t>(nthreads)),
-          locks(graph.numVertices()), tracker(tracker_in)
+          lanes(static_cast<std::size_t>(nthreads)), tracker(tracker_in)
     {
         CRONO_REQUIRE(source < graph.numVertices(), "bad SSSP source");
         CRONO_REQUIRE(split_in == nullptr || split_in->delta == delta,
                       "precomputed split width must match delta");
         dist[source] = 0;
         parent[source] = source;
-        lanes[0].value.bins.resize(1);
-        lanes[0].value.bins[0].push_back(source);
         trackAdd(tracker, 1);
     }
 
-    /** Owner-private per-thread state (unmodeled, like FrontierEngine
-     *  fill cursors): distance-indexed bins plus the settled list of
-     *  the bucket currently awaiting its heavy flush. */
+    /** A parallel-path bucket entry: vertex v and the distance whose
+     *  relaxation queued it. Trivial, so the frontier can be allocated
+     *  without zero-filling it. */
+    struct Entry {
+        graph::VertexId v;
+        graph::Dist dist;
+    };
+
+    /** Owner-private per-thread state of the parallel path (unmodeled,
+     *  like FrontierEngine fill cursors). */
     struct Lane {
-        std::vector<std::vector<graph::VertexId>> bins;
-        std::vector<graph::VertexId> settled;
+        /** Distance-indexed bins: bins[b] holds this thread's entries
+         *  for bucket b. */
+        std::vector<std::vector<Entry>> bins;
         /** Bins below this index are known empty (buckets never
          *  repopulate below the global minimum). */
         std::size_t first_maybe = 0;
+        /** Reached vertices with a tight zero-weight out-edge, found
+         *  by the parent pass: the zero-weight BFS's candidate seeds. */
+        std::vector<graph::VertexId> zero_tight;
     };
 
     const graph::Graph& g;
+    graph::VertexId source;
     AlignedVector<graph::Dist> dist;
     AlignedVector<graph::VertexId> parent;
     graph::Dist delta;
-    /** Holds the split when none was passed in; empty otherwise. */
+    /** Holds the split when the serial path needs one and none was
+     *  passed in; empty otherwise. */
     EdgeSplit owned_split;
+    /** Light/heavy split; read only by the one-thread serial path. */
     const EdgeSplit& split;
     /** Shared publish buffer; every entry descends from a successful
      *  relaxation, so numEdges is a practical capacity bound (GAP
-     *  sizes its frontier identically). Unused (empty) at one thread —
-     *  the serial loop processes bins in place. */
-    AlignedVector<graph::VertexId> frontier;
-    /** Parity-indexed publish cursors: the off-parity cursor is reset
-     *  while the on-parity one is in use, so no reset ever races a
-     *  claim (same trick as FrontierEngine's parity flag arrays). */
+     *  sizes its frontier identically). Empty at one thread — the
+     *  serial loop processes bins in place. Left uninitialized: a step
+     *  reads only the slots its publish phase wrote, so only those
+     *  pages are ever touched. */
+    std::size_t frontier_capacity;
+    std::unique_ptr<Entry[]> frontier;
+    /** Parity-indexed publish cursors: step s fills cursor[s & 1]
+     *  while thread 0 resets the one step s - 1 consumed, so no reset
+     *  races a claim (same trick as FrontierEngine's parity flags). */
     Padded<std::uint64_t> cursor[2];
-    /** Rendezvous slots: thread t's smallest non-empty bucket. */
+    /** Rendezvous slots: thread t's smallest non-empty bucket. A slot
+     *  is rewritten only after barrier 2 of the step that read it, so
+     *  it needs no parity. */
     std::vector<Padded<std::uint64_t>> min_bin;
     std::vector<Padded<Lane>> lanes;
-    Padded<std::uint64_t> rounds;  ///< light phases executed
-    LockStripe<Ctx> locks;
+    Padded<std::uint64_t> rounds;  ///< bucket steps executed
     rt::ActiveTracker* tracker;
 };
 
 /**
  * Single-thread specialization: with one worker the rendezvous slots,
- * publish cursors, shared frontier and per-vertex locks are pure
+ * publish cursors, shared frontier and compare-and-swap are pure
  * overhead, so the kernel degenerates to the textbook serial
  * delta-stepping loop — drain bucket `curr` in place (in-bucket
  * re-insertions just extend the drain), then flush the heavy edges of
@@ -191,9 +225,11 @@ template <class Ctx>
 void
 deltaSteppingSerial(Ctx& ctx, DeltaSsspState<Ctx>& s)
 {
-    typename DeltaSsspState<Ctx>::Lane& lane = s.lanes[0].value;
     const graph::Dist delta = s.delta;
     const EdgeSplit& split = s.split;
+    std::vector<std::vector<graph::VertexId>> bins(1);
+    bins[0].push_back(s.source);
+    std::size_t first_maybe = 0; // bins below it are known empty
 
     obs::Track* const track =
         obs::trackFor(obs::sink(), obs::ctxTrackKind<Ctx>, ctx.tid());
@@ -212,36 +248,35 @@ deltaSteppingSerial(Ctx& ctx, DeltaSsspState<Ctx>& s)
             ctx.write(s.parent[v], u);
             ++relaxations;
             const std::uint64_t b = cand / delta;
-            if (b >= lane.bins.size()) {
-                lane.bins.resize(b + 1);
+            if (b >= bins.size()) {
+                bins.resize(b + 1);
             }
-            lane.bins[b].push_back(v);
-            if (b < lane.first_maybe) {
-                lane.first_maybe = b;
+            bins[b].push_back(v);
+            if (b < first_maybe) {
+                first_maybe = b;
             }
             trackAdd(s.tracker, 1);
         }
     };
 
     std::vector<graph::VertexId> work;
+    std::vector<graph::VertexId> settled;
     for (;;) {
         std::uint64_t curr = kNoBucket;
-        for (std::size_t b = lane.first_maybe; b < lane.bins.size();
-             ++b) {
-            if (!lane.bins[b].empty()) {
+        for (std::size_t b = first_maybe; b < bins.size(); ++b) {
+            if (!bins[b].empty()) {
                 curr = b;
                 break;
             }
         }
-        lane.first_maybe = curr == kNoBucket ? lane.bins.size() : curr;
+        first_maybe = curr == kNoBucket ? bins.size() : curr;
         if (curr == kNoBucket) {
             break;
         }
 
         const graph::Dist lo = static_cast<graph::Dist>(curr) * delta;
-        lane.settled.clear();
-        while (curr < lane.bins.size() && !lane.bins[curr].empty()) {
-            work.swap(lane.bins[curr]);
+        while (curr < bins.size() && !bins[curr].empty()) {
+            work.swap(bins[curr]);
             for (const graph::VertexId u : work) {
                 trackAdd(s.tracker, -1);
                 ctx.work(1); // bucket-range filter
@@ -258,11 +293,11 @@ deltaSteppingSerial(Ctx& ctx, DeltaSsspState<Ctx>& s)
                     relax(u, du, ctx.read(split.light_targets[e]),
                           ctx.read(split.light_weights[e]));
                 }
-                lane.settled.push_back(u);
+                settled.push_back(u);
             }
             work.clear();
         }
-        for (const graph::VertexId u : lane.settled) {
+        for (const graph::VertexId u : settled) {
             const graph::Dist du = ctx.read(s.dist[u]);
             const graph::EdgeId end =
                 split.heavy_offsets[static_cast<std::size_t>(u) + 1];
@@ -272,7 +307,7 @@ deltaSteppingSerial(Ctx& ctx, DeltaSsspState<Ctx>& s)
                       ctx.read(split.heavy_weights[e]));
             }
         }
-        lane.settled.clear();
+        settled.clear();
         ++steps;
     }
 
@@ -285,6 +320,44 @@ deltaSteppingSerial(Ctx& ctx, DeltaSsspState<Ctx>& s)
                          heavy_tried);
         obs::counterBump(track, obs::Counter::kStaleSkips, stale);
         obs::counterBump(track, obs::Counter::kBucketSteps, steps);
+    }
+}
+
+/**
+ * Parents of the vertices whose tight in-edges all weigh 0, which the
+ * parent pass leaves unset: a BFS over tight zero-weight edges, seeded
+ * by the parented vertices among the lanes' zero_tight lists. Each
+ * vertex is parented from one parented before it, so no cycle forms.
+ * Runs on one thread after the parent pass's barrier.
+ */
+template <class Ctx>
+void
+parentsOverZeroEdges(Ctx& ctx, DeltaSsspState<Ctx>& s,
+                     const rt::par::Csr& csr)
+{
+    std::vector<graph::VertexId> queue;
+    for (const Padded<typename DeltaSsspState<Ctx>::Lane>& lane :
+         s.lanes) {
+        for (const graph::VertexId u : lane.value.zero_tight) {
+            if (ctx.read(s.parent[u]) != graph::kNoVertex) {
+                queue.push_back(u);
+            }
+        }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const graph::VertexId u = queue[head];
+        const graph::Dist du = ctx.read(s.dist[u]);
+        const graph::EdgeId end = ctx.read(csr.offsets[u + 1]);
+        for (graph::EdgeId e = ctx.read(csr.offsets[u]); e < end; ++e) {
+            const graph::VertexId v = ctx.read(csr.neighbors[e]);
+            ctx.work(2);
+            if (ctx.read(csr.weights[e]) == 0 &&
+                ctx.read(s.dist[v]) == du &&
+                ctx.read(s.parent[v]) == graph::kNoVertex) {
+                ctx.write(s.parent[v], u);
+                queue.push_back(v);
+            }
+        }
     }
 }
 
@@ -302,14 +375,12 @@ deltaSteppingKernel(Ctx& ctx, DeltaSsspState<Ctx>& s)
     const int nthreads = ctx.nthreads();
     typename DeltaSsspState<Ctx>::Lane& lane = s.lanes[tid].value;
     const graph::Dist delta = s.delta;
-    const EdgeSplit& split = s.split;
+    const rt::par::Csr csr = rt::par::csrOf(s.g);
 
     obs::Track* const track =
         obs::trackFor(obs::sink(), obs::ctxTrackKind<Ctx>, ctx.tid());
     std::uint64_t relaxations = 0;
     std::uint64_t expansions = 0;
-    std::uint64_t activations = 0;
-    std::uint64_t heavy_tried = 0;
     std::uint64_t stale = 0;
     std::uint64_t steps = 0;
 
@@ -324,44 +395,39 @@ deltaSteppingKernel(Ctx& ctx, DeltaSsspState<Ctx>& s)
         return kNoBucket;
     };
 
-    const auto relax = [&](graph::VertexId u, graph::Dist du,
-                           graph::VertexId v, graph::Weight w) {
+    if (tid == 0) {
+        lane.bins.resize(1);
+        lane.bins[0].push_back({s.source, 0});
+    }
+    const auto relax = [&](graph::Dist du, graph::VertexId v,
+                           graph::Weight w) {
         const graph::Dist cand = du + w;
         ctx.work(2); // index arithmetic + compare
-        // Declared-racy probe: unlocked monotone filter before taking
-        // v's lock. dist[v] only decreases, so a stale value admits at
-        // worst a wasted acquisition; the locked compare decides.
-        if (cand >= ctx.readAtomic(s.dist[v])) {
-            return;
-        }
-        bool won = false;
-        {
-            ScopedLock<Ctx> guard(ctx, s.locks.of(v));
-            if (cand < ctx.read(s.dist[v])) {
-                ctx.write(s.dist[v], cand);
-                ctx.write(s.parent[v], u);
-                won = true;
+        // Declared-racy probe: other threads lower dist[v] meanwhile.
+        // dist only decreases, so a stale value costs at most a failed
+        // compareExchange; the compareExchange decides.
+        graph::Dist old = ctx.readAtomic(s.dist[v]);
+        while (cand < old) {
+            if (ctx.compareExchange(s.dist[v], old, cand)) {
+                ++relaxations;
+                // O(1) bucket placement into the winner's own bins.
+                const std::uint64_t b = cand / delta;
+                if (b >= lane.bins.size()) {
+                    lane.bins.resize(b + 1);
+                }
+                lane.bins[b].push_back({v, cand});
+                if (b < lane.first_maybe) {
+                    lane.first_maybe = b;
+                }
+                trackAdd(s.tracker, 1);
+                return;
             }
-        }
-        if (won) {
-            ++relaxations;
-            // O(1) bucket placement into the *owner's* private bins —
-            // the winning relaxer adopts v for the target bucket
-            // (owner-private, so it happens outside the lock).
-            const std::uint64_t b = cand / delta;
-            if (b >= lane.bins.size()) {
-                lane.bins.resize(b + 1);
-            }
-            lane.bins[b].push_back(v);
-            if (b < lane.first_maybe) {
-                lane.first_maybe = b;
-            }
-            ++activations;
-            trackAdd(s.tracker, 1);
+            // Declared-racy re-probe: a concurrent relaxation won the
+            // word since the last probe; retry against its value.
+            old = ctx.readAtomic(s.dist[v]);
         }
     };
 
-    std::uint64_t heavy_bucket = kNoBucket;
     for (;;) {
         // Rendezvous: agree on the globally smallest non-empty bucket.
         ctx.write(s.min_bin[tid].value, myMinBin());
@@ -370,43 +436,23 @@ deltaSteppingKernel(Ctx& ctx, DeltaSsspState<Ctx>& s)
         for (int t = 0; t < nthreads; ++t) {
             curr = std::min(curr, ctx.read(s.min_bin[t].value));
         }
-
-        if (heavy_bucket != kNoBucket && curr != heavy_bucket) {
-            // Bucket heavy_bucket has drained for good (no bucket ever
-            // repopulates below the global minimum): flush the heavy
-            // edges of the vertices this thread settled there. Every
-            // heavy candidate exceeds (heavy_bucket+1)*delta, so the
-            // settled distances are final and these relaxations land
-            // strictly in later buckets.
-            for (const graph::VertexId u : lane.settled) {
-                const graph::Dist du = ctx.read(s.dist[u]);
-                const graph::EdgeId end =
-                    split.heavy_offsets[static_cast<std::size_t>(u) + 1];
-                for (graph::EdgeId e = split.heavy_offsets[u]; e < end;
-                     ++e) {
-                    ++heavy_tried;
-                    relax(u, du, ctx.read(split.heavy_targets[e]),
-                          ctx.read(split.heavy_weights[e]));
-                }
-            }
-            lane.settled.clear();
-            heavy_bucket = kNoBucket;
-            // crono-lint: allow(barrier-divergence): uniform branch — curr is the post-barrier global bucket minimum and heavy_bucket mirrors the previously agreed bucket, so every thread takes this path together
-            ctx.barrier(); // quiesce heavy relaxations; free the slots
-            continue;      // heavy pushes may have opened nearer buckets
-        }
         if (curr == kNoBucket) {
             break;
         }
 
-        // ---- light phase over bucket curr ----
+        // Publish: every thread read the previous step's cursor before
+        // barrier 1, so thread 0 can reset it for the next step.
         const std::size_t parity = static_cast<std::size_t>(steps & 1);
+        if (tid == 0) {
+            ctx.write(s.cursor[parity ^ 1].value, std::uint64_t{0});
+        }
         if (curr < lane.bins.size() && !lane.bins[curr].empty()) {
-            std::vector<graph::VertexId>& bin = lane.bins[curr];
+            std::vector<typename DeltaSsspState<Ctx>::Entry>& bin =
+                lane.bins[curr];
             const std::uint64_t base = ctx.fetchAdd(
                 s.cursor[parity].value,
                 static_cast<std::uint64_t>(bin.size()));
-            CRONO_ASSERT(base + bin.size() <= s.frontier.size(),
+            CRONO_ASSERT(base + bin.size() <= s.frontier_capacity,
                          "delta-stepping frontier overflow");
             for (std::size_t i = 0; i < bin.size(); ++i) {
                 ctx.write(s.frontier[base + i], bin[i]);
@@ -415,59 +461,74 @@ deltaSteppingKernel(Ctx& ctx, DeltaSsspState<Ctx>& s)
         }
         ctx.barrier();
 
-        const std::uint64_t n = ctx.read(s.cursor[parity].value);
-        const std::uint64_t begin =
-            n * static_cast<std::uint64_t>(tid) /
-            static_cast<std::uint64_t>(nthreads);
-        const std::uint64_t end =
-            n * (static_cast<std::uint64_t>(tid) + 1) /
-            static_cast<std::uint64_t>(nthreads);
-        const graph::Dist lo = static_cast<graph::Dist>(curr) * delta;
-        for (std::uint64_t i = begin; i < end; ++i) {
-            const graph::VertexId u = ctx.read(s.frontier[i]);
+        // Process bucket curr.
+        const rt::Range mine = rt::blockPartition(
+            ctx.read(s.cursor[parity].value), tid, nthreads);
+        for (std::uint64_t i = mine.begin; i < mine.end; ++i) {
+            const typename DeltaSsspState<Ctx>::Entry entry =
+                ctx.read(s.frontier[i]);
+            const graph::VertexId u = entry.v;
             trackAdd(s.tracker, -1);
-            ctx.work(1); // bucket-range filter
-            // Declared-racy probe: a concurrent in-bucket relaxation
-            // may still improve dist[u]. A stale (larger) value within
-            // the bucket only re-relaxes light edges that the fresher
-            // copy redoes; a value below the bucket means this entry
-            // was superseded by a copy in an earlier bucket, already
-            // expanded there.
+            ctx.work(1); // superseded-entry filter
+            // Declared-racy probe: a concurrent relaxation may lower
+            // dist[u] meanwhile; it then queues u again with the lower
+            // value. An entry whose distance dist[u] no longer holds
+            // was superseded that way, and the newer entry expands u,
+            // so each (vertex, distance) pair is expanded once.
             const graph::Dist du = ctx.readAtomic(s.dist[u]);
-            if (du < lo) {
+            if (du != entry.dist) {
                 ++stale;
                 continue;
             }
             ++expansions;
-            const graph::EdgeId light_end =
-                split.light_offsets[static_cast<std::size_t>(u) + 1];
-            for (graph::EdgeId e = split.light_offsets[u]; e < light_end;
+            const graph::EdgeId end = ctx.read(csr.offsets[u + 1]);
+            for (graph::EdgeId e = ctx.read(csr.offsets[u]); e < end;
                  ++e) {
-                relax(u, du, ctx.read(split.light_targets[e]),
-                      ctx.read(split.light_weights[e]));
+                relax(du, ctx.read(csr.neighbors[e]),
+                      ctx.read(csr.weights[e]));
             }
-            lane.settled.push_back(u);
         }
-        if (tid == 0) {
-            // The off-parity cursor quiesced at the previous light
-            // phase's closing barrier; reset it here for reuse two
-            // phases from now.
-            ctx.write(s.cursor[parity ^ 1].value, std::uint64_t{0});
-        }
-        heavy_bucket = curr;
         ++steps;
-        ctx.barrier();
     }
 
+    // Parents from the final distances (the last barrier 1 ordered
+    // every relaxation before these reads). Edge-balanced, because
+    // degree-sorted inputs pack the hubs into the lowest ids.
+    const rt::Range own = rt::par::degreeBalancedRange(ctx, csr);
+    for (std::uint64_t u = own.begin; u < own.end; ++u) {
+        const graph::Dist du = ctx.read(s.dist[u]);
+        if (du == graph::kInfDist) {
+            continue;
+        }
+        bool has_zero_tight = false;
+        const graph::EdgeId end = ctx.read(csr.offsets[u + 1]);
+        for (graph::EdgeId e = ctx.read(csr.offsets[u]); e < end; ++e) {
+            const graph::VertexId v = ctx.read(csr.neighbors[e]);
+            const graph::Weight w = ctx.read(csr.weights[e]);
+            ctx.work(2);
+            if (du + w != ctx.read(s.dist[v])) {
+                continue;
+            }
+            if (w > 0) {
+                ctx.compareExchange(s.parent[v], graph::kNoVertex,
+                                    static_cast<graph::VertexId>(u));
+            } else {
+                has_zero_tight = true;
+            }
+        }
+        if (has_zero_tight) {
+            lane.zero_tight.push_back(static_cast<graph::VertexId>(u));
+        }
+    }
+    ctx.barrier();
     if (tid == 0) {
+        parentsOverZeroEdges(ctx, s, csr);
         ctx.write(s.rounds.value, steps);
     }
     if (track != nullptr) {
         obs::counterBump(track, obs::Counter::kRelaxations, relaxations);
         obs::counterBump(track, obs::Counter::kExpansions, expansions);
-        obs::counterBump(track, obs::Counter::kActivations, activations);
-        obs::counterBump(track, obs::Counter::kHeavyRelaxations,
-                         heavy_tried);
+        obs::counterBump(track, obs::Counter::kActivations, relaxations);
         obs::counterBump(track, obs::Counter::kStaleSkips, stale);
         obs::counterBump(track, obs::Counter::kBucketSteps, steps);
     }

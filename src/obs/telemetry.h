@@ -97,9 +97,9 @@ enum class Counter : std::uint8_t {
     kTriangles,        ///< triangles enumerated (each exactly once)
     kBranches,         ///< B&B (TSP/MCS) search-tree nodes visited
     kReorderMs,        ///< milliseconds spent reordering a graph
-    kBucketSteps,      ///< delta-stepping light-bucket phases executed
+    kBucketSteps,      ///< delta-stepping bucket steps executed
     kStaleSkips,       ///< delta-stepping bucket entries superseded
-    kHeavyRelaxations, ///< delta-stepping heavy-edge relaxations tried
+    kHeavyRelaxations, ///< heavy-edge relaxations tried (serial delta-stepping)
     kLoadMs,           ///< milliseconds spent parsing a graph file
     kBidomainSplits,   ///< MCS bidomain classes split during expansion
     kServeRequests,    ///< serve: requests answered (any status)

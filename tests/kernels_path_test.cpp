@@ -11,6 +11,7 @@
 #include "core/apsp.h"
 #include "graph/builder.h"
 #include "core/betweenness.h"
+#include "core/delta_stepping.h"
 #include "core/sequential.h"
 #include "core/sssp.h"
 #include "tests/kernel_test_util.h"
@@ -20,35 +21,37 @@ namespace {
 
 using test::GraphThreads;
 
-class SsspParamTest : public ::testing::TestWithParam<GraphThreads> {};
-
-TEST_P(SsspParamTest, MatchesDijkstraOnNativeThreads)
+/** SSSP through @p algo's entry point, each at its default width. */
+template <class Exec>
+core::SsspResult
+runSssp(core::SsspAlgo algo, Exec& exec, int threads,
+        const graph::Graph& g, graph::VertexId source)
 {
-    const auto [name, threads] = GetParam();
-    const graph::Graph g = test::makeGraph(name);
-    rt::NativeExecutor exec(threads);
-    const auto result = core::sssp(exec, threads, g, 0);
-    const auto expect = core::seq::sssp(g, 0);
-    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
-        ASSERT_EQ(result.dist[v], expect[v])
-            << name << " vertex " << v;
+    if (algo == core::SsspAlgo::kDeltaStep) {
+        return core::deltaSteppingSssp(exec, threads, g, source);
     }
+    return core::sssp(exec, threads, g, source);
 }
 
-TEST_P(SsspParamTest, ParentTreeIsConsistent)
+/**
+ * Property: every reached non-source vertex has a parent edge that
+ * exists and is tight (dist[p] + w == dist[v]), and following parents
+ * from any reached vertex ends at the source: the parent graph has no
+ * cycle.
+ */
+void
+expectShortestPathTree(const graph::Graph& g,
+                       const core::SsspResult& result,
+                       graph::VertexId source, const std::string& label)
 {
-    const auto [name, threads] = GetParam();
-    const graph::Graph g = test::makeGraph(name);
-    rt::NativeExecutor exec(threads);
-    const auto result = core::sssp(exec, threads, g, 0);
-    // Property: dist[v] == dist[parent[v]] + w(parent[v], v) for every
-    // reached non-source vertex, and the parent edge exists.
-    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
-        if (v == 0 || result.dist[v] == graph::kInfDist) {
+    const graph::VertexId n = g.numVertices();
+    ASSERT_EQ(result.parent[source], source) << label;
+    for (graph::VertexId v = 0; v < n; ++v) {
+        if (v == source || result.dist[v] == graph::kInfDist) {
             continue;
         }
         const graph::VertexId p = result.parent[v];
-        ASSERT_NE(p, graph::kNoVertex);
+        ASSERT_NE(p, graph::kNoVertex) << label << " vertex " << v;
         bool edge_found = false;
         auto ns = g.neighbors(p);
         auto ws = g.weights(p);
@@ -59,8 +62,45 @@ TEST_P(SsspParamTest, ParentTreeIsConsistent)
                 break;
             }
         }
-        EXPECT_TRUE(edge_found) << name << " vertex " << v;
+        EXPECT_TRUE(edge_found) << label << " vertex " << v;
+        graph::VertexId hops = 0;
+        for (graph::VertexId x = v; x != source; x = result.parent[x]) {
+            ASSERT_LT(hops++, n) << label << " parent cycle through " << v;
+        }
     }
+}
+
+using GraphThreadsAlgo = std::tuple<std::string, int, core::SsspAlgo>;
+
+std::string
+graphThreadsAlgoName(const ::testing::TestParamInfo<GraphThreadsAlgo>& info)
+{
+    const auto [name, threads, algo] = info.param;
+    return test::graphThreadsName({{name, threads}, info.index}) + "_" +
+           core::ssspAlgoName(algo);
+}
+
+class SsspParamTest : public ::testing::TestWithParam<GraphThreadsAlgo> {};
+
+TEST_P(SsspParamTest, MatchesDijkstraOnNativeThreads)
+{
+    const auto [name, threads, algo] = GetParam();
+    const graph::Graph g = test::makeGraph(name);
+    rt::NativeExecutor exec(threads);
+    const auto result = runSssp(algo, exec, threads, g, 0);
+    const auto expect = core::seq::sssp(g, 0);
+    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+        ASSERT_EQ(result.dist[v], expect[v])
+            << name << " vertex " << v;
+    }
+}
+
+TEST_P(SsspParamTest, ParentTreeIsConsistent)
+{
+    const auto [name, threads, algo] = GetParam();
+    const graph::Graph g = test::makeGraph(name);
+    rt::NativeExecutor exec(threads);
+    expectShortestPathTree(g, runSssp(algo, exec, threads, g, 0), 0, name);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -68,8 +108,79 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("path", "ring", "star", "grid",
                                          "cliques", "sparse", "road",
                                          "social"),
-                       ::testing::Values(1, 2, 4, 8)),
-    test::graphThreadsName);
+                       ::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(core::SsspAlgo::kWorkList,
+                                         core::SsspAlgo::kDeltaStep)),
+    graphThreadsAlgoName);
+
+/**
+ * A zero-weight cycle 1 -> 2 -> 3 -> 1 reachable from source 0, a
+ * zero-weight pair 4 <-> 5 behind it, and vertex 6 reached only
+ * through the cycle. Vertices 2, 3 and 5 have only zero-weight tight
+ * in-edges.
+ */
+graph::Graph
+zeroCycleGraph(bool undirected)
+{
+    graph::GraphBuilder b(7, undirected);
+    b.addEdge(0, 1, 3);
+    b.addEdge(1, 2, 0);
+    b.addEdge(2, 3, 0);
+    b.addEdge(3, 1, 0);
+    b.addEdge(3, 4, 2);
+    b.addEdge(4, 5, 0);
+    b.addEdge(5, 4, 0);
+    b.addEdge(0, 5, 9);
+    b.addEdge(2, 6, 1);
+    return std::move(b).build();
+}
+
+/** The catalog's sparse graph as a directed CSR with weights w % 3:
+ *  about a third of the edges weigh 0, and both directions of each
+ *  are present, so zero-weight cycles abound. */
+graph::Graph
+zeroHeavySparseGraph()
+{
+    const graph::Graph base = test::makeGraph("sparse");
+    graph::GraphBuilder b(base.numVertices(), false);
+    for (graph::VertexId u = 0; u < base.numVertices(); ++u) {
+        auto ns = base.neighbors(u);
+        auto ws = base.weights(u);
+        for (std::size_t i = 0; i < ns.size(); ++i) {
+            b.addEdge(u, ns[i], ws[i] % 3);
+        }
+    }
+    return std::move(b).build();
+}
+
+TEST(Sssp, ZeroWeightCyclesKeepParentsTightAndAcyclic)
+{
+    const std::vector<std::pair<std::string, graph::Graph>> graphs = [] {
+        std::vector<std::pair<std::string, graph::Graph>> v;
+        v.emplace_back("undirected", zeroCycleGraph(true));
+        v.emplace_back("directed", zeroCycleGraph(false));
+        v.emplace_back("sparse-mod3", zeroHeavySparseGraph());
+        return v;
+    }();
+    for (const auto& [name, g] : graphs) {
+        const auto expect = core::seq::sssp(g, 0);
+        for (const core::SsspAlgo algo :
+             {core::SsspAlgo::kWorkList, core::SsspAlgo::kDeltaStep}) {
+            for (const int threads : {1, 2, 4, 8}) {
+                const std::string label =
+                    name + "/" + core::ssspAlgoName(algo) + "/t" +
+                    std::to_string(threads);
+                rt::NativeExecutor exec(threads);
+                const auto result = runSssp(algo, exec, threads, g, 0);
+                for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+                    ASSERT_EQ(result.dist[v], expect[v])
+                        << label << " vertex " << v;
+                }
+                expectShortestPathTree(g, result, 0, label);
+            }
+        }
+    }
+}
 
 TEST(Sssp, RelaxationFixpointProperty)
 {
@@ -109,6 +220,18 @@ TEST(Sssp, NonZeroSourceOnSimulator)
     for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
         ASSERT_EQ(result.dist[v], expect[v]);
     }
+}
+
+TEST(Sssp, DeltaSteppingOnSimulatorMatchesDijkstra)
+{
+    const graph::Graph g = test::makeGraph("road");
+    sim::Machine machine(test::smallSimConfig());
+    const auto result = core::deltaSteppingSssp(machine, 8, g, 17);
+    const auto expect = core::seq::sssp(g, 17);
+    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+        ASSERT_EQ(result.dist[v], expect[v]) << "vertex " << v;
+    }
+    expectShortestPathTree(g, result, 17, "sim");
 }
 
 TEST(Sssp, SingleVertexGraph)

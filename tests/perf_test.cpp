@@ -208,6 +208,9 @@ TEST(CounterDelta, DerivedRatesComeFromHardwareCounters)
 
 TEST(ProfileSession, AttributesHostSpans)
 {
+#if defined(CRONO_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "telemetry compiled out (CRONO_TELEMETRY=OFF)";
+#endif
     obs::TelemetrySession telemetry;
     perf::ProfileSession profile;
     for (int i = 0; i < 3; ++i) {
@@ -246,6 +249,9 @@ TEST(ProfileSession, InactiveSessionRecordsNothing)
 
 TEST(ProfileSession, KernelRunAttributesWorkerAndKernelSpans)
 {
+#if defined(CRONO_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "telemetry compiled out (CRONO_TELEMETRY=OFF)";
+#endif
     const graph::Graph g = graph::generators::socialNetwork(7, 6, 3);
     obs::TelemetrySession telemetry;
     perf::ProfileSession profile;
@@ -271,6 +277,9 @@ TEST(ProfileSession, KernelRunAttributesWorkerAndKernelSpans)
 
 TEST(ProfileSession, SessionsDoNotLeakAcrossInstalls)
 {
+#if defined(CRONO_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "telemetry compiled out (CRONO_TELEMETRY=OFF)";
+#endif
     obs::TelemetrySession telemetry;
     {
         perf::ProfileSession first;
@@ -290,6 +299,9 @@ TEST(ProfileSession, SessionsDoNotLeakAcrossInstalls)
 
 TEST(Imbalance, FractionsAreSaneForRealRun)
 {
+#if defined(CRONO_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "telemetry compiled out (CRONO_TELEMETRY=OFF)";
+#endif
     const graph::Graph g = graph::generators::socialNetwork(8, 8, 5);
     obs::TelemetrySession telemetry;
     {
