@@ -11,9 +11,11 @@
  *    report the per-trial average;
  *  - non-source kernels average over a fixed trial count;
  *  - only the kernel call is timed: graph generation and file I/O
- *    stay outside, while per-run state (frontier allocation, the
- *    delta-stepping light/heavy split) stays inside, as it is work
- *    the algorithm requires;
+ *    stay outside, while per-run state (frontier allocation) stays
+ *    inside, as it is work the algorithm requires; the delta-stepping
+ *    light/heavy split is a (graph, delta) artifact like GAP's
+ *    transpose, built once outside the trials and only for 1-thread
+ *    runs, since only the serial path reads it;
  *  - inputs are GAP-scale: a road network (default 1024x1024, the
  *    long-diameter heavy-weight regime where delta-stepping is the
  *    headline) and a GAP-spec Kronecker graph (default scale 20,
@@ -254,10 +256,13 @@ runCsrSection(const GapOptions& opt, rt::NativeExecutor& exec,
         {"delta", core::SsspAlgo::kDeltaStep, rt::FrontierMode::kSparse},
     };
     // Light/heavy split: a (graph, delta) artifact like GAP's
-    // transpose, built once outside the per-source trials.
+    // transpose, built once outside the per-source trials. Only the
+    // 1-thread serial path reads it.
     const graph::Dist eff_delta =
         opt.delta != 0 ? opt.delta : core::autoDelta(g, nt);
-    const core::EdgeSplit split = core::splitEdgesAtDelta(g, eff_delta);
+    const core::EdgeSplit split =
+        nt == 1 ? core::splitEdgesAtDelta(g, eff_delta) : core::EdgeSplit{};
+    const core::EdgeSplit* const serial_split = nt == 1 ? &split : nullptr;
     for (const auto& variant : sssp_variants) {
         sourceKernel(
             opt, "sssp", "SSSP_DIJK", graph_tag, g, variant.mode,
@@ -266,7 +271,7 @@ runCsrSection(const GapOptions& opt, rt::NativeExecutor& exec,
                     variant.algo == core::SsspAlgo::kDeltaStep
                         ? core::deltaSteppingSssp(exec, nt, g, src,
                                                   nullptr, eff_delta,
-                                                  &split)
+                                                  serial_split)
                         : core::sssp(exec, nt, g, src, nullptr,
                                      variant.fmode);
                 *rounds = res.rounds;

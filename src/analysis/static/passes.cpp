@@ -43,7 +43,7 @@ constexpr std::string_view kRawIncludes[] = {
  *  arguments must honor the Ctx write contract. */
 constexpr std::string_view kParPrimitives[] = {
     "vertexMap",       "vertexMapStriped", "vertexMapCapture",
-    "edgeMapPush",     "edgeMapPull",      "edgeMapPullAll",
+    "edgeMapPush",     "edgeMapPullAll",
     "reduce",          "reducePerThread",
     // rt::bnb policy protocol: expand/forEachRoot receive an Emit
     // lambda from the searcher's per-thread DFS loop.

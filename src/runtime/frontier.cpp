@@ -34,20 +34,11 @@ denseFrontThreshold(std::uint64_t num_vertices, std::uint64_t num_edges)
     return threshold == 0 ? 1 : threshold;
 }
 
-std::uint64_t
-pullFrontThreshold(std::uint64_t num_vertices)
-{
-    const std::uint64_t threshold =
-        num_vertices / kFrontierPullSwitchDivisor;
-    return threshold == 0 ? 1 : threshold;
-}
-
 FrontierEngine::FrontierEngine(std::uint64_t num_vertices,
                                std::uint64_t num_edges, int nthreads,
                                FrontierMode mode)
     : numVertices_(num_vertices), nthreads_(nthreads), mode_(mode),
       denseThreshold_(denseFrontThreshold(num_vertices, num_edges)),
-      pullThreshold_(pullFrontThreshold(num_vertices)),
       useQueues_(mode == FrontierMode::kSparse ||
                  mode == FrontierMode::kAdaptive),
       threads_(static_cast<std::size_t>(nthreads))
@@ -120,42 +111,42 @@ FrontierEngine::seedAll()
     }
 }
 
-std::vector<double>
-FrontierEngine::roundVariability() const
+void
+applyRoundVariability(
+    RunInfo& info,
+    const std::vector<const std::vector<std::uint64_t>*>& ops_marks)
 {
     std::size_t rounds = ~std::size_t{0};
-    for (const PerThread& t : threads_) {
-        rounds = std::min(rounds, t.opsMarks.size());
+    for (const std::vector<std::uint64_t>* marks : ops_marks) {
+        rounds = std::min(rounds, marks->size());
     }
-    if (threads_.empty() || rounds == 0 || rounds == ~std::size_t{0}) {
-        return {};
+    if (ops_marks.empty() || rounds == 0) {
+        return;
     }
-    std::vector<double> out;
-    out.reserve(rounds);
-    std::vector<std::uint64_t> delta(threads_.size());
+    info.round_variability.clear();
+    info.round_variability.reserve(rounds);
+    std::vector<std::uint64_t> delta(ops_marks.size());
+    double sum = 0.0;
     for (std::size_t r = 0; r < rounds; ++r) {
-        for (std::size_t t = 0; t < threads_.size(); ++t) {
-            const auto& marks = threads_[t].opsMarks;
+        for (std::size_t t = 0; t < ops_marks.size(); ++t) {
+            const std::vector<std::uint64_t>& marks = *ops_marks[t];
             delta[t] = r == 0 ? marks[0] : marks[r] - marks[r - 1];
         }
-        out.push_back(variability(delta));
+        info.round_variability.push_back(variability(delta));
+        sum += info.round_variability.back();
     }
-    return out;
+    info.variability = sum / static_cast<double>(rounds);
 }
 
 void
 FrontierEngine::applyRoundStats(RunInfo& info) const
 {
-    info.round_variability = roundVariability();
-    if (info.round_variability.empty()) {
-        return;
+    std::vector<const std::vector<std::uint64_t>*> marks;
+    marks.reserve(threads_.size());
+    for (const PerThread& t : threads_) {
+        marks.push_back(&t.opsMarks);
     }
-    double sum = 0.0;
-    for (double v : info.round_variability) {
-        sum += v;
-    }
-    info.variability =
-        sum / static_cast<double>(info.round_variability.size());
+    applyRoundVariability(info, marks);
 }
 
 } // namespace crono::rt

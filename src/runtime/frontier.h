@@ -21,12 +21,7 @@
  *    round can be *consumed* either densely (scan the thread's static
  *    block of flags) or sparsely (claim chunks from the per-thread
  *    queues, own queue first, then steal round-robin) — switching
- *    representation between rounds is free. The flag arrays double as
- *    the pull-side membership probe (inCurrent): a direction-
- *    optimized round skips processCurrent entirely and has every
- *    *destination* scan its neighbors against the current parity,
- *    clearing its own flag block in advance()'s between-barriers hook
- *    (see clearCurrentBlock).
+ *    representation between rounds is free.
  *  - Every shared-memory access goes through the ExecutionContext
  *    (`ctx.read/write/fetchAdd`), so simulated cache and NoC traffic
  *    stays honest when the engine runs on the Graphite-style
@@ -34,8 +29,12 @@
  *    pending counts) is deliberately *not* modeled, the same way
  *    kernels keep loop state in registers.
  *  - Producers must guarantee exclusive activation of a vertex (the
- *    kernels already do: per-vertex locks in SSSP/CC, the claimed
- *    atomic in BFS), mirroring the contract of the flag-scan code.
+ *    kernels already do: per-vertex locks in SSSP, the flag claim in
+ *    flag-scan BFS), mirroring the contract of the flag-scan code.
+ *
+ * Two kernels run on the engine: the paper's flag-scan BFS and the
+ * work-list SSSP (every mode). BFS's kSparse/kAdaptive modes run a
+ * GAP-style queue kernel of their own (core/bfs.h).
  *
  * The engine also records each thread's ops() at every round
  * boundary, so drivers can report the Variability metric (Equation 2
@@ -76,30 +75,17 @@ std::uint64_t denseFrontThreshold(std::uint64_t num_vertices,
                                   std::uint64_t num_edges);
 
 /**
- * Pull-switch divisor d of the direction-optimizing policy: a round
- * whose front exceeds V / d is consumed pull-side (when the kernel
- * supports it). The GAP-style intuition: once a sizable fraction of
- * the graph is on the front, most push edge-scans hit already-claimed
- * destinations, while a destination-side gather can stop at its first
- * in-front neighbor — on power-law inputs the heavy middle rounds of
- * a BFS put 20-60% of all vertices on the front at once. V/20 keeps
- * road networks (fronts of a few hundred out of 10^5+ vertices)
- * permanently push-side while catching exactly those heavy rounds.
+ * Host-side, after a run: attach the per-round Variability series
+ * (Equation 2 over each round's per-thread ops deltas) to @p info and
+ * replace the whole-run scalar with the series mean. @p ops_marks[t]
+ * holds thread t's ctx.ops() at the end of every round; rounds beyond
+ * the shortest series are ignored. Frontier kernels report imbalance
+ * per round, not per run, since per-run counts wash out exactly the
+ * imbalance a sparse front creates.
  */
-inline constexpr std::uint64_t kFrontierPullSwitchDivisor = 20;
-
-/** Front size above which a round is consumed pull-side (>= 1). */
-std::uint64_t pullFrontThreshold(std::uint64_t num_vertices);
-
-/**
- * Per-round traversal decision of FrontierEngine::planRound: how the
- * current round's front should be consumed.
- */
-enum class RoundPlan : int {
-    kSparsePush = 0, ///< drain the per-thread work lists (push)
-    kDensePush = 1,  ///< scan the dense flag array (push)
-    kPull = 2,       ///< destinations gather against the flag array
-};
+void applyRoundVariability(
+    RunInfo& info,
+    const std::vector<const std::vector<std::uint64_t>*>& ops_marks);
 
 /**
  * Double-buffered frontier over vertices [0, V): dense parity-indexed
@@ -159,71 +145,6 @@ class FrontierEngine {
             return front_size > denseThreshold_;
         }
         return true;
-    }
-
-    /**
-     * Full traversal decision for a round whose front holds
-     * @p front_size vertices, including the pull side. Pure function
-     * of shared values, so all threads independently derive the same
-     * answer. @p allow_pull gates the pull side per kernel: a kernel
-     * without a pull formulation (SSSP's weighted relaxation) passes
-     * false and gets the push-only policy.
-     *
-     * Direction-optimizing policy (kAdaptive): pull when the front
-     * exceeds pullFrontThreshold(V), dense push when it exceeds
-     * denseFrontThreshold(V, E), sparse push otherwise.
-     */
-    RoundPlan
-    planRound(std::uint64_t front_size, bool allow_pull) const
-    {
-        switch (mode_) {
-          case FrontierMode::kFlagScan:
-            return RoundPlan::kDensePush;
-          case FrontierMode::kSparse:
-            return RoundPlan::kSparsePush;
-          case FrontierMode::kAdaptive:
-            if (allow_pull && front_size > pullThreshold_) {
-                return RoundPlan::kPull;
-            }
-            return front_size > denseThreshold_ ? RoundPlan::kDensePush
-                                                : RoundPlan::kSparsePush;
-        }
-        return RoundPlan::kDensePush;
-    }
-
-    /**
-     * Membership test against the *current* round's flags — the
-     * pull-side "is u on the front" probe. Race-free during a pull
-     * round: round @p round reads parity round&1 while activations
-     * write parity (round+1)&1.
-     */
-    template <class Ctx>
-    bool
-    inCurrent(Ctx& ctx, std::uint64_t round, Vertex v)
-    {
-        return ctx.read(flags_[round & 1].data()[v]) != 0;
-    }
-
-    /**
-     * Clear this thread's static block of the current round's flags.
-     * A pull round never consumes flags through processCurrent, so its
-     * front membership must be wiped before the parity is reused; call
-     * this from advance()'s between-barriers hook (the round is
-     * quiesced there, and parity round&1 is not written again until
-     * round+2's activations, which begin after the second barrier).
-     */
-    template <class Ctx>
-    void
-    clearCurrentBlock(Ctx& ctx, std::uint64_t round)
-    {
-        std::uint32_t* flags = flags_[round & 1].data();
-        const Range range =
-            blockPartition(numVertices_, ctx.tid(), nthreads_);
-        for (std::uint64_t v = range.begin; v < range.end; ++v) {
-            if (ctx.read(flags[v]) != 0) { // avoid dirtying clean lines
-                ctx.write(flags[v], 0u);
-            }
-        }
     }
 
     /**
@@ -424,16 +345,8 @@ class FrontierEngine {
     }
 
     /**
-     * Host-side, after the run: per-round Variability (Equation 2)
-     * over the per-thread ops deltas of each round.
-     */
-    std::vector<double> roundVariability() const;
-
-    /**
-     * Host-side, after the run: attach the per-round series to
-     * @p info and replace the whole-run scalar with the per-round
-     * mean (frontier kernels report imbalance per round, not per
-     * run — satellite of the frontier-engine change).
+     * Host-side, after the run: applyRoundVariability over the
+     * engine's per-round ops marks.
      */
     void applyRoundStats(RunInfo& info) const;
 
@@ -500,7 +413,6 @@ class FrontierEngine {
     int nthreads_;
     FrontierMode mode_;
     std::uint64_t denseThreshold_;
-    std::uint64_t pullThreshold_;
     /** Work lists maintained? False for kFlagScan (flags only). */
     bool useQueues_;
     /** Previous round's representation (thread 0 only, telemetry). */

@@ -16,9 +16,11 @@
  *    count (gather PageRank).
  *  - vertexMapCapture: the paper's vertex-capture idiom — one RMW per
  *    item on a shared cursor whose cache line deliberately ping-pongs.
- *  - edgeMapPush / edgeMapPull / edgeMapPullAll: frontier traversal in
- *    both directions, with FrontierEngine's dense flag array doubling
- *    as the pull-side membership probe (direction optimization).
+ *  - edgeMapPush: push-direction frontier traversal through a
+ *    FrontierEngine (flag-scan BFS, work-list SSSP).
+ *  - edgeMapPullAll: the frontier-less dense gather of flag-scan
+ *    connected components. (The direction-optimizing BFS probes
+ *    levels itself; see core/bfs.h.)
  *  - reduce / reducePerThread: per-thread cache-line-padded slots
  *    combined deterministically behind one barrier, replacing the
  *    fetchAdd-into-a-shared-counter merge (which, for floating point,
@@ -205,93 +207,36 @@ edgeMapPush(Ctx& ctx, const Csr& g, FrontierEngine& engine,
         });
 }
 
-namespace detail {
-
-/** Shared destination-side gather loop of the pull edge maps. */
-template <class Ctx, class Member, class Pre, class Edge, class Post>
-void
-pullVertex(Ctx& ctx, const Csr& g, graph::VertexId v, Member&& member,
-           Pre&& pre, Edge&& edge, Post&& post)
-{
-    if (!pre(v)) {
-        return;
-    }
-    const graph::EdgeId beg = ctx.read(g.offsets[v]);
-    const graph::EdgeId end = ctx.read(g.offsets[v + 1]);
-    for (graph::EdgeId e = beg; e < end; ++e) {
-        const graph::VertexId u = ctx.read(g.neighbors[e]);
-        ctx.work(1);
-        if (!member(u)) {
-            continue;
-        }
-        if (edge(v, u, e)) {
-            break; // satisfied (BFS: first in-front parent wins)
-        }
-    }
-    post(v);
-}
-
-} // namespace detail
-
-/**
- * Pull-direction (direction-optimized) frontier round: every vertex
- * that passes @p pre(v) scans its neighbors, keeping only those on
- * the current front (engine.inCurrent probe against the dense flag
- * array). @p edge(v, u, e) returns true to stop scanning v early —
- * the saving that makes pull win on heavy fronts. @p post(v) runs
- * after v's scan (also when no neighbor matched); writes made there
- * are owner-exclusive, since each vertex is visited by exactly one
- * thread, so self-activation needs no lock.
- *
- * The round's flags are NOT consumed here — the caller must clear
- * them from advance()'s between-hook via engine.clearCurrentBlock.
- * The primitive charges ctx.work(1) per scanned edge (the pull path
- * is new; there is no hand-rolled cost profile to preserve) and bumps
- * kPullRounds / records a "round-pull" span.
- */
-template <class Ctx, class Pre, class Edge, class Post>
-void
-edgeMapPull(Ctx& ctx, const Csr& g, FrontierEngine& engine,
-            std::uint64_t round, Pre&& pre, Edge&& edge, Post&& post)
-{
-    obs::Track* const track =
-        obs::trackFor(obs::sink(), obs::ctxTrackKind<Ctx>, ctx.tid());
-    const std::uint64_t begin = track != nullptr ? ctx.timestamp() : 0;
-    if (track != nullptr && ctx.tid() == 0) {
-        obs::counterBump(track, obs::Counter::kPullRounds, 1);
-    }
-    const auto member = [&](graph::VertexId u) {
-        return engine.inCurrent(ctx, round, u);
-    };
-    const Range range =
-        blockPartition(g.num_vertices, ctx.tid(), ctx.nthreads());
-    for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
-        const auto v = static_cast<graph::VertexId>(vi);
-        detail::pullVertex(ctx, g, v, member, pre, edge, post);
-    }
-    if (track != nullptr) {
-        obs::spanRecord(track, {begin, ctx.timestamp(), "round-pull",
-                                round, obs::SpanCat::kRound});
-    }
-}
-
 /**
  * Frontier-less dense gather over this thread's static block: every
  * vertex passing @p pre scans all neighbors (no membership probe, no
  * early exit unless @p edge returns true). This is the paper's
- * pull-style full-rescan structure (connected components).
+ * pull-style full-rescan structure (connected components). @p post(v)
+ * runs after v's scan; writes made there are owner-exclusive, since
+ * each vertex is visited by exactly one thread.
  */
 template <class Ctx, class Pre, class Edge, class Post>
 void
 edgeMapPullAll(Ctx& ctx, const Csr& g, Pre&& pre, Edge&& edge,
                Post&& post)
 {
-    const auto all = [](graph::VertexId) { return true; };
     const Range range =
         blockPartition(g.num_vertices, ctx.tid(), ctx.nthreads());
     for (std::uint64_t vi = range.begin; vi < range.end; ++vi) {
-        detail::pullVertex(ctx, g, static_cast<graph::VertexId>(vi), all,
-                           pre, edge, post);
+        const auto v = static_cast<graph::VertexId>(vi);
+        if (!pre(v)) {
+            continue;
+        }
+        const graph::EdgeId beg = ctx.read(g.offsets[v]);
+        const graph::EdgeId end = ctx.read(g.offsets[v + 1]);
+        for (graph::EdgeId e = beg; e < end; ++e) {
+            const graph::VertexId u = ctx.read(g.neighbors[e]);
+            ctx.work(1);
+            if (edge(v, u, e)) {
+                break;
+            }
+        }
+        post(v);
     }
 }
 

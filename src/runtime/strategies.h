@@ -37,10 +37,11 @@ namespace crono::rt {
  *    with chunk-granularity work-stealing; O(front) per round.
  *  - kAdaptive: per-round choice between the representations based on
  *    front occupancy — dense when front_size * avg_degree > V / k,
- *    sparse again once the front shrinks below that threshold, and
- *    pull-side (direction-optimized, for kernels that support it)
- *    once the front exceeds the pull threshold (see
- *    rt::pullFrontThreshold). This is the only mode with pull rounds.
+ *    sparse again once the front shrinks below that threshold. BFS
+ *    runs its own queue kernel in kSparse and kAdaptive and, in
+ *    kAdaptive only, consumes a level pull-side (direction-optimized)
+ *    once its front exceeds core::pullFrontThreshold. This is the
+ *    only mode with pull rounds.
  */
 enum class FrontierMode : int {
     kFlagScan = 0,

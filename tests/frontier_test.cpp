@@ -100,29 +100,13 @@ TEST(FrontierEngine_, DenseRoundPerMode)
     EXPECT_TRUE(adaptive.denseRound(33));
 }
 
-TEST(FrontierEngine_, PlanRoundPerMode)
+TEST(FrontierEngine_, BfsPullThresholdIsExclusiveVOver20)
 {
-    using rt::RoundPlan;
-    // V = 1024, E = 8192: pull above V / 20 = 51, dense above 32.
-    FrontierEngine scan(1024, 8192, 1, FrontierMode::kFlagScan);
-    FrontierEngine sparse(1024, 8192, 1, FrontierMode::kSparse);
-    FrontierEngine adaptive(1024, 8192, 1, FrontierMode::kAdaptive);
-    ASSERT_EQ(rt::pullFrontThreshold(1024), 51u);
-    // Only kAdaptive ever plans a pull round.
-    EXPECT_EQ(scan.planRound(1024, true), RoundPlan::kDensePush);
-    EXPECT_EQ(scan.planRound(1, true), RoundPlan::kDensePush);
-    EXPECT_EQ(sparse.planRound(1024, true), RoundPlan::kSparsePush);
-    EXPECT_EQ(sparse.planRound(1, true), RoundPlan::kSparsePush);
-    // Both thresholds are exclusive.
-    EXPECT_EQ(adaptive.planRound(1024, true), RoundPlan::kPull);
-    EXPECT_EQ(adaptive.planRound(52, true), RoundPlan::kPull);
-    EXPECT_EQ(adaptive.planRound(51, true), RoundPlan::kDensePush);
-    EXPECT_EQ(adaptive.planRound(33, true), RoundPlan::kDensePush);
-    EXPECT_EQ(adaptive.planRound(32, true), RoundPlan::kSparsePush);
-    // Without a pull formulation the push-only policy applies.
-    EXPECT_EQ(adaptive.planRound(1024, false), RoundPlan::kDensePush);
-    EXPECT_EQ(adaptive.planRound(52, false), RoundPlan::kDensePush);
-    EXPECT_EQ(adaptive.planRound(32, false), RoundPlan::kSparsePush);
+    // kAdaptive BFS pulls a level whose front exceeds V / 20.
+    EXPECT_EQ(core::pullFrontThreshold(1024), 51u);
+    EXPECT_EQ(core::pullFrontThreshold(20), 1u);
+    // The threshold never collapses to zero.
+    EXPECT_EQ(core::pullFrontThreshold(19), 1u);
 }
 
 TEST(FrontierEngine_, SeedIsIdempotentAndDrainsSparse)
@@ -455,6 +439,34 @@ TEST(FrontierVariability, PerRoundSeriesMatchesRoundCount)
     // The scalar becomes the per-round mean for frontier kernels.
     EXPECT_DOUBLE_EQ(result.run.variability,
                      sum / static_cast<double>(result.rounds));
+}
+
+TEST(FrontierVariability, QueueBfsSeriesHasOneEntryPerLevel)
+{
+    const graph::Graph g = test::makeGraph("road");
+    const auto levels = core::seq::bfsLevels(g, 0);
+    std::uint32_t depth = 0;
+    for (const std::uint32_t l : levels) {
+        if (l != core::kNoLevel) {
+            depth = std::max(depth, l);
+        }
+    }
+    rt::NativeExecutor exec(4);
+    for (const FrontierMode mode :
+         {FrontierMode::kSparse, FrontierMode::kAdaptive}) {
+        SCOPED_TRACE(rt::frontierModeName(mode));
+        const auto result =
+            core::bfs(exec, 4, g, 0, graph::kNoVertex, nullptr, mode);
+        ASSERT_EQ(result.run.round_variability.size(), depth + 1u);
+        double sum = 0.0;
+        for (const double v : result.run.round_variability) {
+            EXPECT_GE(v, 0.0);
+            EXPECT_LE(v, 1.0);
+            sum += v;
+        }
+        EXPECT_DOUBLE_EQ(result.run.variability,
+                         sum / static_cast<double>(depth + 1));
+    }
 }
 
 TEST(FrontierVariability, FlagScanKeepsWholeRunScalar)

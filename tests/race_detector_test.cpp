@@ -2,7 +2,7 @@
  * @file
  * Whole-suite race-detector sweep: every benchmark kernel runs on a
  * simulated machine with the FastTrack/Eraser detector installed —
- * frontier-driven kernels under all four FrontierModes, PageRank
+ * frontier-driven kernels under every FrontierMode, PageRank
  * under both phase structures — and must produce zero unsuppressed
  * races. Any entry in scripts/suppressions/detector.allow needs a
  * justification comment, so the gate is "explained or absent".
@@ -146,6 +146,41 @@ TEST(RaceDetectorSweep, DegreeSortedSocialHasNoUnsuppressedRaces)
 
     EXPECT_EQ(det.unsuppressedCount(), 0u)
         << analysis::racesJson(det);
+}
+
+/**
+ * The sweep checks the pull path of kAdaptive BFS (racy level probes
+ * beside owner writes) only if its inputs take a pull round: on both
+ * social inputs of the sweep the BFS must pull at least once, and
+ * stay race-free. The round count comes from telemetry, so a
+ * CRONO_TELEMETRY=OFF build skips the test.
+ */
+TEST(RaceDetectorSweepSim, AdaptiveBfsTakesPullRounds)
+{
+#if defined(CRONO_TELEMETRY_DISABLED)
+    GTEST_SKIP() << "pull rounds are counted by telemetry";
+#else
+    for (const graph::Reordering r :
+         {graph::Reordering::kNone, graph::Reordering::kDegreeSort}) {
+        SCOPED_TRACE(graph::reorderingName(r));
+        core::WorkloadConfig wc = sweepConfig(core::GraphKind::social);
+        wc.reordering = r;
+        const core::WorkloadSet set(wc);
+        core::Workload w = set.forBenchmark(core::BenchmarkId::bfs);
+        w.frontier_mode = rt::FrontierMode::kAdaptive;
+
+        obs::TelemetrySession session;
+        sim::Machine machine(test::smallSimConfig());
+        RaceDetector det(loadAllowlist());
+        machine.setObserver(&det);
+        core::runBenchmark(core::BenchmarkId::bfs, machine, 8, w);
+        EXPECT_GT(
+            session.recorder().totalCounter(obs::Counter::kPullRounds),
+            0u);
+        EXPECT_EQ(det.unsuppressedCount(), 0u)
+            << analysis::racesJson(det);
+    }
+#endif
 }
 
 TEST(RaceDetectorSweep, SeededRaceFixtureIsAttributed)
